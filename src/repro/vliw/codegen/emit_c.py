@@ -51,7 +51,9 @@ What does not, by design:
   guard, preserving the multi-core lockstep contract unchanged.  A
   device store whose address depends on a same-packet result cannot be
   pre-checked and bails unconditionally;
-* regions the emitter declines (none today — the op set is closed) and
+* regions the emitter declines (none on the default target — the op
+  set is closed; a custom target whose memory or device windows leave
+  the 32-bit space declines them all) and
   entries discovered only at run time render through the Python
   emitter; regions that bail persistently (a UART loop hammering the
   bridge window) are swapped for their Python rendering at run time by
@@ -63,12 +65,27 @@ indirect branches) return a typed error kind plus context; the wrapper
 re-raises the interpreter's exact exception.  As documented for the
 packet-compiled backend, no result is produced on those paths.
 
+Module size is the cost of a cold start: ``cc -O2`` on the generated
+C is nearly all of it, and the cycle annotation — a sync-window store
+starting every block, a status read ending it — is most of the C.  So
+each site keeps inline only what runs every block: the command-register
+store that finds the channel idle, the status read, and the
+plain-memory hit of a device access (the translator's run-time
+data-vs-I/O stub makes every unresolved pointer access a device
+access).  Everything else is a call to one fixed set of ``_PRELUDE``
+helpers: ``_dev_load``/``_dev_store`` (other sync registers and every
+error kind), ``_stall`` (the blocking-read stall loop), ``_commit``
+(writeback commits, tested first against a bit mask of due issue
+offsets) and ``_fold``/``_leave`` (exit epilogues).
+
 C correctness notes: all arithmetic is done in ``uint32_t`` (defined
 wrap-around); signed ops go through ``int32_t`` casts with products
 widened to ``int64_t`` (32x32 multiply overflow is UB in C, defined in
 the reference semantics); memory accesses compose bytes explicitly, so
-the generated code is endian-independent; address range checks compute
-offsets in ``int64_t`` to keep window comparisons exact.
+the generated code is endian-independent; plain-access range checks
+compute offsets in ``int64_t``, and device-window tests compare one
+wrapped ``uint32_t`` offset, exact because every window of a rendered
+region lies inside the 32-bit space.
 """
 
 from __future__ import annotations
@@ -110,6 +127,10 @@ ABI_VERSION = 3
 #: fixed array capacities of the ABI struct
 IN_MAX = 64  # >= register-file size (model caps at 2 x 32)
 SPILL_MAX = 64
+
+#: issue offsets the in-flight due mask tracks (bits of an int64_t);
+#: commit sections at larger offsets scan the set unconditionally
+DUE_BITS = 63
 
 #: exit kinds reported by a superblock function
 KIND_CHAIN = 0  # continue at ``next_pc`` (branch taken / fall-through)
@@ -189,6 +210,12 @@ typedef struct {{
 _PRELUDE = f"""\
 #include <stdint.h>
 
+#if defined(__GNUC__)
+#define _NOINLINE __attribute__((noinline))
+#else
+#define _NOINLINE
+#endif
+
 {RIO_STRUCT}
 static int32_t _a2p_find(const rio_t *io, uint32_t addr) {{
     int32_t lo = 0, hi = io->a2p_n - 1;
@@ -208,14 +235,30 @@ static void _spill(rio_t *io, int32_t r, int32_t m, uint32_t v) {{
     io->n_spill++;
 }}
 
+/* The issue offsets at which the resident in-flight set has commits
+   due, as a bit mask: bit k for entries maturing at offset k, bit 0
+   for everything already mature.  Commit sections test their bit
+   before scanning the set. */
+static int64_t _due(const rio_t *io) {{
+    int64_t due = 0;
+    int32_t i;
+    for (i = 0; i < io->in_n; i++) {{
+        int32_t m = io->in_mat[i];
+        if (m < {DUE_BITS}) due |= (int64_t)1 << (m > 0 ? m : 0);
+    }}
+    return due;
+}}
+
 /* Rebase the resident in-flight writeback set across a region exit:
    drop entries that matured inside the region just executed (its
    commit sections already applied them, up to the entry window),
    shift the survivors to the new issue origin and fold in the spills.
    Mirrors the drop-then-respill dance the Python wrapper performs
-   between per-region calls.  Returns 1 on overflow (two writes to one
-   register in flight at once — a WAW scheduler hazard). */
-static int32_t _sb_flight(rio_t *io, int32_t executed, int32_t limit) {{
+   between per-region calls.  Returns the rebased set's due mask, or
+   reports KIND_INFLIGHT_OVF and returns -1 on overflow (two writes to
+   one register in flight at once — a WAW scheduler hazard).  Leaves
+   the spill list empty on every path, so exits need not clear it. */
+static int64_t _sb_flight(rio_t *io, int32_t executed, int32_t limit) {{
     int32_t n = 0, i;
     for (i = 0; i < io->in_n; i++) {{
         if (io->in_mat[i] < limit) continue;
@@ -225,7 +268,11 @@ static int32_t _sb_flight(rio_t *io, int32_t executed, int32_t limit) {{
         n++;
     }}
     for (i = 0; i < io->n_spill; i++) {{
-        if (n >= {IN_MAX}) return 1;
+        if (n >= {IN_MAX}) {{
+            io->n_spill = 0;
+            io->kind = {KIND_INFLIGHT_OVF};
+            return -1;
+        }}
         io->in_reg[n] = io->spill_reg[i];
         io->in_mat[n] = io->spill_mat[i] - executed;
         io->in_val[n] = io->spill_val[i];
@@ -233,7 +280,7 @@ static int32_t _sb_flight(rio_t *io, int32_t executed, int32_t limit) {{
     }}
     io->in_n = n;
     io->n_spill = 0;
-    return 0;
+    return _due(io);
 }}
 
 /* SyncDevice.tick — bit-identical port (IEEE doubles, truncation) */
@@ -293,6 +340,111 @@ static void _tick_n(rio_t *io, int64_t count) {{
     }}
     for (i = 0; i < count; i++) _tick(io);
 }}
+
+/* Shared out-of-line paths: the generated code calls these instead of
+   repeating them at every site (keeping them out of line is the point:
+   it bounds how much C one superblock hands the compiler). */
+
+/* Apply one exiting member's epilogue totals: counters, batched ticks,
+   the in-flight rebase and the executed count.  Returns _sb_flight's
+   due mask, or -1 on overflow. */
+static _NOINLINE int64_t _fold(rio_t *io, int32_t executed, int32_t limit,
+                               int64_t instr, int64_t nop, int64_t src,
+                               int64_t ticks) {{
+    int64_t due;
+    io->instr_total += instr;
+    io->nop_total += nop;
+    io->src_total += src;
+    _tick_n(io, ticks);
+    due = _sb_flight(io, executed, limit);
+    if (due >= 0) io->executed_total += executed;
+    return due;
+}}
+
+/* An external exit: fold the epilogue, report, return. */
+static _NOINLINE int32_t _leave(rio_t *io, int32_t kind, int32_t next_pc,
+                                int32_t sb_pc, int32_t executed,
+                                int32_t limit, int64_t instr, int64_t nop,
+                                int64_t src, int64_t ticks) {{
+    if (_fold(io, executed, limit, instr, nop, src, ticks) < 0)
+        return {KIND_INFLIGHT_OVF};
+    io->next_pc = next_pc;
+    io->sb_pc = sb_pc;
+    io->kind = kind;
+    return kind;
+}}
+
+static int32_t _err(rio_t *io, int32_t kind, uint32_t aux) {{
+    io->aux = aux;
+    io->kind = kind;
+    return kind;
+}}
+
+/* C6xCore._packet_blocks for one sync-status read at address a: stall
+   a cycle and tick while it would block.  A packet's reads wait in
+   turn, one call each — a status never re-blocks while ticking, so
+   that equals the interpreter's re-scan of all of them per cycle.
+   0 or an error kind. */
+static _NOINLINE int32_t _stall(rio_t *io, uint32_t a, int64_t sync_base) {{
+    int64_t w = (int64_t)a - sync_base;
+    if (w < 0 || w >= {SYNC_WINDOW}) return 0;
+    if (w == {REG_STATUS}) {{
+        while (io->sync_pending_main > 0) {{
+            io->sync_stall += 1;
+            _tick(io);
+        }}
+        return 0;
+    }}
+    if (w == {REG_CORR_STATUS}) {{
+        while (io->sync_pending_corr > 0) {{
+            io->sync_stall += 1;
+            _tick(io);
+        }}
+        return 0;
+    }}
+    return _err(io, {KIND_SYNC_BADREAD}, (uint32_t)w);
+}}
+
+/* Writeback commits due at issue offset k (k == 0: every entry that
+   matured by region entry). */
+static _NOINLINE void _commit(uint32_t *regs, const rio_t *io, int32_t k) {{
+    int32_t i;
+    for (i = 0; i < io->in_n; i++)
+        if (k ? io->in_mat[i] == k : io->in_mat[i] <= 0)
+            regs[io->in_reg[i]] = io->in_val[i];
+}}
+
+/* A device load that missed both inline hits (a status register, plain
+   target memory; the bridge window bailed at the packet pre-check) can
+   only fail: another sync register, or no window at all.  Reports and
+   returns the error kind. */
+static _NOINLINE int32_t _dev_load(rio_t *io, uint32_t a, int64_t sync_base) {{
+    int64_t o = (int64_t)a - sync_base;
+    if (0 <= o && o < {SYNC_WINDOW})
+        return _err(io, {KIND_SYNC_BADREAD}, (uint32_t)o);
+    return _err(io, {KIND_BUSERR_LOAD}, a);
+}}
+
+/* A device store that missed both inline hits (the command register
+   with the channel idle, plain target memory): the correction channel,
+   or an error.  0 or the reported error kind. */
+static _NOINLINE int32_t _dev_store(rio_t *io, uint32_t a, uint32_t v,
+                                    int64_t sync_base, int64_t stall) {{
+    int64_t o = (int64_t)a - sync_base;
+    if (o == {REG_CMD})
+        return _err(io, {KIND_SYNC_PROTO_MAIN}, (uint32_t)o);
+    if (o == {REG_CORR_CMD}) {{
+        if (io->sync_pending_corr)
+            return _err(io, {KIND_SYNC_PROTO_CORR}, (uint32_t)o);
+        io->sync_pending_corr = (int64_t)v;
+        if (v) io->sync_corrections_started++;
+        io->sync_stall += stall;
+        return 0;
+    }}
+    if (0 <= o && o < {SYNC_WINDOW})
+        return _err(io, {KIND_SYNC_BADWRITE}, (uint32_t)o);
+    return _err(io, {KIND_BUSERR_STORE}, a);
+}}
 """
 
 
@@ -310,6 +462,36 @@ def _addr(base: str, imm: int) -> str:
     if imm:
         return f"(uint32_t)({base} + {u32(imm)}u)"
     return base
+
+
+def _load_bytes(offset: str, size: int) -> str:
+    """Little-endian u32 composition of *size* bytes at ``mem[offset]``."""
+    parts = [f"(uint32_t)mem[{offset}]"]
+    for byte in range(1, size):
+        parts.append(f"((uint32_t)mem[{offset} + {byte}] << {8 * byte})")
+    return " | ".join(parts)
+
+
+def _in_window(addr: str, base: int, size: int) -> str:
+    """C test ``base <= addr < base + size`` on a u32 address: one
+    unsigned compare, exact for windows inside the 32-bit space (the
+    wrap-around of ``addr - base`` lands above ``size``)."""
+    return f"(uint32_t)({addr} - {base}u) < {size}u"
+
+
+def _windows_fit(ir: RegionIR) -> bool:
+    """Whether target memory and the sync and bridge windows lie inside
+    the 32-bit space, memory clear of the sync window — what the
+    single-compare window tests and the device accesses' inline
+    plain-memory hit assume.  Regions of other geometries decline."""
+    top = 1 << 32
+    mem_end = ir.mem_base + ir.mem_len
+    sync_end = ir.sync_base + SYNC_WINDOW
+    return (0 <= ir.mem_base and 4 <= ir.mem_len and mem_end <= top
+            and 0 <= ir.sync_base and sync_end <= top
+            and 0 <= ir.bridge_base
+            and ir.bridge_base + _BRIDGE_WINDOW <= top
+            and (sync_end <= ir.mem_base or mem_end <= ir.sync_base))
 
 
 class UnsupportedRegion(Exception):
@@ -331,6 +513,8 @@ class CEmitter:
     def emit(self, ir: RegionIR) -> tuple[str, str] | None:
         """Render *ir* as a single-member superblock;
         ``(c_source, symbol)`` or ``None`` to decline."""
+        if not _windows_fit(ir):
+            return None
         symbol = self.symbol(ir)
         try:
             source = self._render_superblock(
@@ -351,7 +535,7 @@ class CEmitter:
         set, which is what makes the on-disk shared-object cache
         content-addressable.
         """
-        irs_by_pc = {ir.pc0: ir for ir in irs}
+        irs_by_pc = {ir.pc0: ir for ir in irs if _windows_fit(ir)}
         while True:
             try:
                 return self._emit_module_once(irs_by_pc, landing_sites)
@@ -395,6 +579,7 @@ class CEmitter:
             f"rio_t *io) {{",
             "    int32_t spc = io->sb_pc;",
             "    int64_t budget = io->budget;",
+            "    int64_t due = _due(io);",
             "    io->pb = 0;",
             "    goto Ldispatch;",
         ]
@@ -484,46 +669,34 @@ class _CRenderer:
 
     # -- epilogues -------------------------------------------------------
 
-    def _accumulate(self, ep: Epilogue) -> None:
-        """Fold one exiting region's epilogue into the resident state:
-        counter totals, batched ticks, then the in-flight rebase
-        (commit-window drop + spill fold) and the executed count."""
+    def _accumulate(self, ep: Epilogue) -> str:
+        """Fold one exiting region's epilogue into the resident state.
+
+        Emits the spills (the spill list is empty here: ``_sb_flight``
+        clears it on every path) and returns the arguments of the
+        ``_fold`` that applies the rest — executed count, commit-window
+        limit of the in-flight rebase, counter totals, batched ticks —
+        either directly or through ``_leave``.
+        """
         if len(ep.spills) > SPILL_MAX:
             raise UnsupportedRegion(f"{len(ep.spills)} spills")
-        add = self.add
-        terms = []
-        if ep.instr_static:
-            terms.append(str(ep.instr_static))
-        if ep.use_ci:
-            terms.append("ci")
-        if terms:
-            add(f"io->instr_total += {' + '.join(terms)};")
-        terms = []
-        if ep.nop_static:
-            terms.append(str(ep.nop_static))
-        if ep.use_cn:
-            terms.append("cn")
-        if terms:
-            add(f"io->nop_total += {' + '.join(terms)};")
-        if ep.src_static:
-            add(f"io->src_total += {ep.src_static};")
-        if ep.ticks > 0:
-            add(f"_tick_n(io, {ep.ticks});")
-        add("io->n_spill = 0;")
         for spill in ep.spills:
             line = f"_spill(io, {spill.dst}, {spill.mature}, v{spill.var});"
             if spill.pred is not None:
-                add(f"if (p{spill.pred}) {line}")
+                self.add(f"if (p{spill.pred}) {line}")
             else:
-                add(line)
+                self.add(line)
+        instr = ([str(ep.instr_static)] if ep.instr_static else []) + (
+            ["ci"] if ep.use_ci else [])
+        nop = ([str(ep.nop_static)] if ep.nop_static else []) + (
+            ["cn"] if ep.use_cn else [])
         # the commit sections ran for the first commits_ran packets
         # (a bail packet's too: it re-executes on the core); the entry
         # window bounds how deep commit sections scan the in-flight set
         limit = min(ep.commits_ran, self.ir.entry_window)
-        add(f"if (_sb_flight(io, {ep.executed}, {limit})) "
-            f"{{ io->kind = {KIND_INFLIGHT_OVF}; "
-            f"return {KIND_INFLIGHT_OVF}; }}")
-        add(f"io->executed_total += {ep.executed};")
+        return (f"{ep.executed}, {limit}, {' + '.join(instr) or 0}, "
+                f"{' + '.join(nop) or 0}, {ep.src_static}, "
+                f"{max(ep.ticks, 0)}")
 
     def _emit_epilogue(self, ep: Epilogue, kind: int,
                        next_pc_expr: str) -> None:
@@ -531,11 +704,11 @@ class _CRenderer:
 
         ``pb_mat`` is rebased to the exit's issue origin (the wrapper
         adds the whole call's executed total); ``sb_pc`` attributes the
-        exit — in particular a bail — to this member region.
+        exit — in particular a bail — to this member region.  The fold
+        and the report share one out-of-line ``_leave``.
         """
         add = self.add
-        self._accumulate(ep)
-        add(f"io->next_pc = {next_pc_expr};")
+        fold = self._accumulate(ep)
         if ep.branch is not None:
             br = ep.branch
             target = str(br.target) if br.target is not None else "btarget"
@@ -545,8 +718,8 @@ class _CRenderer:
                 add(f"if (p{br.pred}) {{ {fire} }}")
             else:
                 add(fire)
-        add(f"io->sb_pc = {self.ir.pc0};")
-        add(f"io->kind = {kind}; return {kind};")
+        add(f"return _leave(io, {kind}, {next_pc_expr}, {self.ir.pc0}, "
+            f"{fold});")
 
     def _emit_bail(self, ep: Epilogue) -> None:
         self._emit_epilogue(ep, KIND_BAIL, str(self.ir.pc0 + ep.executed))
@@ -572,7 +745,8 @@ class _CRenderer:
         if target is not None and target not in self.members:
             self._emit_epilogue(ep, KIND_CHAIN, str(target))
             return
-        self._accumulate(ep)
+        add(f"if ((due = _fold(io, {self._accumulate(ep)})) < 0) "
+            f"return {KIND_INFLIGHT_OVF};")
         add(f"io->sb_pc = {self.ir.pc0};")
         if target is None:
             add("spc = btarget;")
@@ -586,10 +760,6 @@ class _CRenderer:
             add(f"if (!io->sb_off[{self.member_index[target]}]) "
                 f"goto L{target};")
             add("goto Lexit;")
-
-    def _emit_error(self, kind: int, aux_expr: str) -> None:
-        self.add(f"io->aux = (uint32_t)({aux_expr}); "
-                 f"io->kind = {kind}; return {kind};")
 
     # -- main ------------------------------------------------------------
 
@@ -616,10 +786,9 @@ class _CRenderer:
 
         # 1. writeback commits due at this packet's issue point
         if p.entry_commit:
-            test = ("<= 0" if p.offset == 0 else f"== {p.offset}")
-            add("for (int32_t _i = 0; _i < io->in_n; _i++)")
-            add(f"    if (io->in_mat[_i] {test}) "
-                f"regs[io->in_reg[_i]] = io->in_val[_i];")
+            test = (f"due >> {p.offset} & 1" if p.offset < DUE_BITS
+                    else "io->in_n")
+            add(f"if ({test}) _commit(regs, io, {p.offset});")
         for commit in p.commits:
             line = f"regs[{commit.dst}] = v{commit.var};"
             if commit.pred is not None:
@@ -644,9 +813,7 @@ class _CRenderer:
             conds = []
             for check in p.guard.checks:
                 addr = _addr(_operand(check.base), check.imm)
-                cond = (f"0 <= (int64_t)({addr}) - {ir.bridge_base} "
-                        f"&& (int64_t)({addr}) - {ir.bridge_base} "
-                        f"< {_BRIDGE_WINDOW}")
+                cond = _in_window(addr, ir.bridge_base, _BRIDGE_WINDOW)
                 if check.pred_reg is not None:
                     test = "!=" if check.pred_sense else "=="
                     cond = f"regs[{check.pred_reg}] {test} 0u && ({cond})"
@@ -760,8 +927,7 @@ class _CRenderer:
                 self.indent += 1
             add(f"uint32_t bt{m} = {_operand(node.value)};")
             add(f"btarget = _a2p_find(io, bt{m});")
-            add(f"if (btarget < 0) {{ io->aux = bt{m}; "
-                f"io->kind = {KIND_BADBRANCH}; return {KIND_BADBRANCH}; }}")
+            add(f"if (btarget < 0) return _err(io, {KIND_BADBRANCH}, bt{m});")
             if guarded:
                 self.indent -= 1
                 add("}")
@@ -803,142 +969,65 @@ class _CRenderer:
 
     def _render_stall_loop(self, p: PacketIR) -> None:
         """``C6xCore._packet_blocks``: stall while a sync-status read
-        in this packet would block — preserving Python's short-circuit
-        evaluation order, including the invalid-offset error."""
-        if not p.stall_checks:
-            return
-        ir = self.ir
-        add = self.add
-        add("for (;;) {")
-        self.indent += 1
-        add("int32_t _blocked = 0;")
+        in this packet would block, one out-of-line ``_stall`` wait
+        per read in packet order (equal to the interpreter's re-scan:
+        a status never re-blocks while ticking), including the
+        invalid-offset error."""
+        base = self.ir.sync_base
         for sc in p.stall_checks:
             addr = _addr(f"regs[{sc.src1}]", sc.imm)
-            add("if (!_blocked) {")
-            self.indent += 1
-            inner = 0
+            # plain-memory reads (most device loads) skip the call
+            call = (f"{_in_window(addr, base, SYNC_WINDOW)} "
+                    f"&& _stall(io, {addr}, {base})")
             if sc.pred_reg is not None:
                 test = "!=" if sc.pred_sense else "=="
-                add(f"if (regs[{sc.pred_reg}] {test} 0u) {{")
-                self.indent += 1
-                inner = 1
-            add(f"int64_t w{sc.m} = (int64_t)({addr}) - {ir.sync_base};")
-            add(f"if (0 <= w{sc.m} && w{sc.m} < {SYNC_WINDOW}) {{")
-            self.indent += 1
-            add(f"if (w{sc.m} == {REG_STATUS}) "
-                f"_blocked = io->sync_pending_main > 0;")
-            add(f"else if (w{sc.m} == {REG_CORR_STATUS}) "
-                f"_blocked = io->sync_pending_corr > 0;")
-            add("else {")
-            self.indent += 1
-            self._emit_error(KIND_SYNC_BADREAD, f"w{sc.m}")
-            self.indent -= 1
-            add("}")
-            self.indent -= 1
-            add("}")
-            for _ in range(inner):
-                self.indent -= 1
-                add("}")
-            self.indent -= 1
-            add("}")
-        add("if (!_blocked) break;")
-        add("io->sync_stall += 1;")
-        add("_tick(io);")
-        self.indent -= 1
-        add("}")
+                call = f"regs[{sc.pred_reg}] {test} 0u && {call}"
+            self.add(f"if ({call}) return io->kind;")
 
     def _render_device_load(self, node: DeviceLoad) -> None:
-        """Two-way dispatch: sync window or plain target memory."""
+        """Inline: the sync-status read every block ends with and the
+        plain-memory hit.  Out of line (``_dev_load``): other sync
+        offsets and the error kinds."""
         add = self.add
         ir = self.ir
         m = node.var
         size = _LOAD_SIZE[node.op]
-        addr = _addr(f"regs[{node.src1}]", node.imm)
         add("{")
         self.indent += 1
-        add(f"uint32_t a{m} = {addr};")
-        add(f"int64_t o{m} = (int64_t)a{m} - {ir.sync_base};")
-        add(f"if (0 <= o{m} && o{m} < {SYNC_WINDOW}) {{")
-        self.indent += 1
-        add(f"if (o{m} != {REG_STATUS} && o{m} != {REG_CORR_STATUS}) {{")
-        self.indent += 1
-        self._emit_error(KIND_SYNC_BADREAD, f"o{m}")
-        self.indent -= 1
-        add("}")
-        add(f"v{m} = 0u;")
-        add(f"io->sync_stall += {ir.sync_stall};")
-        self.indent -= 1
-        add("} else {")
-        self.indent += 1
-        add(f"int64_t mo{m} = (int64_t)a{m} - {ir.mem_base};")
-        add(f"if (mo{m} < 0 || mo{m} > {ir.mem_len - size}) {{")
-        self.indent += 1
-        self._emit_error(KIND_BUSERR_LOAD, f"a{m}")
-        self.indent -= 1
-        add("}")
-        parts = [f"(uint32_t)mem[mo{m}]"]
-        for byte in range(1, size):
-            parts.append(f"((uint32_t)mem[mo{m} + {byte}] << {8 * byte})")
-        add(f"v{m} = {' | '.join(parts)};")
-        self.indent -= 1
-        add("}")
+        add(f"uint32_t a = {_addr(f'regs[{node.src1}]', node.imm)}, "
+            f"mo = a - {ir.mem_base}u;")
+        add(f"if (a == {ir.sync_base + REG_STATUS}u "
+            f"|| a == {ir.sync_base + REG_CORR_STATUS}u) "
+            f"{{ v{m} = 0u; io->sync_stall += {ir.sync_stall}; }}")
+        add(f"else if (mo <= {ir.mem_len - size}u) "
+            f"v{m} = {_load_bytes('mo', size)};")
+        add(f"else return _dev_load(io, a, {ir.sync_base});")
         self._render_sign_fix(node.op, m)
         self.indent -= 1
         add("}")
 
     def _render_device_store(self, node: DeviceStore) -> None:
+        """Inline: the sync-window store that starts a block and the
+        plain-memory hit.  Out of line (``_dev_store``): the correction
+        channel and every error kind."""
         add = self.add
         ir = self.ir
-        m = node.m
         size = node.size
-        addr = _addr(_operand(node.base), node.imm)
         add("{")
         self.indent += 1
-        add(f"uint32_t sa{m} = {addr};")
-        add(f"uint32_t sv{m} = {_operand(node.val)};")
-        add(f"int64_t o{m} = (int64_t)sa{m} - {ir.sync_base};")
-        add(f"if (0 <= o{m} && o{m} < {SYNC_WINDOW}) {{")
-        self.indent += 1
-        add(f"if (o{m} == {REG_CMD}) {{")
-        self.indent += 1
-        add("if (io->sync_pending_main) {")
-        self.indent += 1
-        self._emit_error(KIND_SYNC_PROTO_MAIN, f"o{m}")
-        self.indent -= 1
-        add("}")
-        add(f"io->sync_pending_main = (int64_t)sv{m};")
-        add("io->sync_blocks_started++;")
-        self.indent -= 1
-        add(f"}} else if (o{m} == {REG_CORR_CMD}) {{")
-        self.indent += 1
-        add("if (io->sync_pending_corr) {")
-        self.indent += 1
-        self._emit_error(KIND_SYNC_PROTO_CORR, f"o{m}")
-        self.indent -= 1
-        add("}")
-        add(f"io->sync_pending_corr = (int64_t)sv{m};")
-        add(f"if (sv{m}) io->sync_corrections_started++;")
-        self.indent -= 1
-        add("} else {")
-        self.indent += 1
-        self._emit_error(KIND_SYNC_BADWRITE, f"o{m}")
-        self.indent -= 1
-        add("}")
-        add(f"io->sync_stall += {ir.sync_stall};")
-        self.indent -= 1
-        add("} else {")
-        self.indent += 1
-        add(f"int64_t mo{m} = (int64_t)sa{m} - {ir.mem_base};")
-        add(f"if (mo{m} < 0 || mo{m} > {ir.mem_len - size}) {{")
-        self.indent += 1
-        self._emit_error(KIND_BUSERR_STORE, f"sa{m}")
-        self.indent -= 1
-        add("}")
-        add(f"mem[mo{m}] = (uint8_t)(sv{m});")
-        for byte in range(1, size):
-            add(f"mem[mo{m} + {byte}] = (uint8_t)(sv{m} >> {8 * byte});")
-        self.indent -= 1
-        add("}")
+        add(f"uint32_t a = {_addr(_operand(node.base), node.imm)}, "
+            f"v = {_operand(node.val)}, mo = a - {ir.mem_base}u;")
+        add(f"if (a == {ir.sync_base + REG_CMD}u "
+            f"&& !io->sync_pending_main) {{ "
+            f"io->sync_pending_main = (int64_t)v; "
+            f"io->sync_blocks_started++; "
+            f"io->sync_stall += {ir.sync_stall}; }}")
+        stores = " ".join(
+            f"mem[mo + {byte}] = (uint8_t)(v >> {8 * byte});" if byte
+            else "mem[mo] = (uint8_t)v;" for byte in range(size))
+        add(f"else if (mo <= {ir.mem_len - size}u) {{ {stores} }}")
+        add(f"else if (_dev_store(io, a, v, {ir.sync_base}, "
+            f"{ir.sync_stall})) return io->kind;")
         self.indent -= 1
         add("}")
 
@@ -956,10 +1045,7 @@ class _CRenderer:
         self._emit_bail(node.bail)
         self.indent -= 1
         add("}")
-        parts = [f"(uint32_t)mem[o{m}]"]
-        for byte in range(1, size):
-            parts.append(f"((uint32_t)mem[o{m} + {byte}] << {8 * byte})")
-        add(f"v{m} = {' | '.join(parts)};")
+        add(f"v{m} = {_load_bytes(f'o{m}', size)};")
         self._render_sign_fix(node.op, m)
         self.indent -= 1
         add("}")

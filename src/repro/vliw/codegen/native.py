@@ -74,6 +74,9 @@ from repro.vliw.codegen.ir import RegionIR
 #: :class:`~repro.vliw.codegen.tiering.TierConfig` may override it)
 BAIL_SWITCH = 16
 
+#: wall-clock cap on one module build, in seconds
+CC_TIMEOUT_S = 300
+
 #: probe program for toolchain discovery
 _PROBE = "int _repro_probe(int x) { return x + 1; }\n"
 
@@ -171,26 +174,38 @@ def build_shared(c_source: str, digest: str | None = None) -> str | None:
     cc = toolchain()
     if cc is None:
         return None
+    # temp files not yet renamed into place; removed on every failure
+    # path (a failed write, a non-zero exit, a timeout)
+    pending: list[str] = []
     try:
         os.makedirs(directory, exist_ok=True)
         c_path = os.path.join(directory, f"{digest}.c")
         fd, tmp_c = tempfile.mkstemp(dir=directory, suffix=".c")
+        pending.append(tmp_c)
         with os.fdopen(fd, "w") as handle:
             handle.write(c_source)
         os.replace(tmp_c, c_path)
+        pending.remove(tmp_c)
         fd, tmp_so = tempfile.mkstemp(dir=directory, suffix=".so")
+        pending.append(tmp_so)
         os.close(fd)
         result = subprocess.run(
             [cc, "-O2", "-shared", "-fPIC", "-std=c99", c_path,
              "-o", tmp_so],
-            capture_output=True, timeout=300)
+            capture_output=True, timeout=CC_TIMEOUT_S)
         if result.returncode != 0:
-            os.unlink(tmp_so)
             return None
         os.replace(tmp_so, so_path)
+        pending.remove(tmp_so)
         return so_path
     except (OSError, subprocess.SubprocessError):
         return None
+    finally:
+        for path in pending:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 # -- FFI bindings ------------------------------------------------------------

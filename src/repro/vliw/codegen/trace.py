@@ -40,8 +40,9 @@ from repro.vliw.codegen.ir import RegionIR
 
 #: largest member count of one superblock (one C function) — a
 #: compile-time backstop only: every chain component of every registry
-#: program fits whole (dct8x8 at detail level 3 is 363 members, ~38 s
-#: of one-time content-addressed ``cc -O2``), and splitting a
+#: program fits whole (dct8x8 at detail level 3 is 363 members, ~19 s
+#: of one-time content-addressed ``cc -O2`` on a 2-CPU x86-64 host
+#: with gcc 12), and splitting a
 #: component cuts hot call/return cycles, costing two orders of
 #: magnitude of steady-state speed
 SUPERBLOCK_CAP = 512

@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.programs.registry import build, program_names
 from repro.translator.driver import translate
 from repro.vliw.codegen.native import native_available
@@ -25,6 +26,23 @@ needs_toolchain = pytest.mark.skipif(
     reason="no working C toolchain (or REPRO_NATIVE=0)")
 
 LEVELS = (0, 1, 2, 3)
+
+#: hand-assembled programs reaching each error kind of the native
+#: slow-path helpers.  Unresolved pointers go through the translator's
+#: run-time data-vs-I/O stub, so their accesses are device accesses:
+#: a0 = 0 lands outside every window, and 0x518000xx lands on the sync
+#: device (data delta 0x80000000 - 0xD0000000 added)
+ERROR_PROGRAMS = {
+    "store_outside": "li d1, 7\nst.w [a0]0, d1\nhalt",
+    "load_outside": "ld.w d1, [a0]0\nhalt",
+    "sync_bad_write": "la a2, 0x51800004\nli d1, 7\nst.w [a2]0, d1\nhalt",
+    "sync_bad_read": "la a2, 0x51800000\nld.w d1, [a2]0\nhalt",
+    "sync_protocol_main": ("la a2, 0x51800000\nli d1, 1000\n"
+                           "st.w [a2]0, d1\nst.w [a2]0, d1\nhalt"),
+    "sync_protocol_corr": ("la a2, 0x51800008\nli d1, 1000\n"
+                           "st.w [a2]0, d1\nst.w [a2]0, d1\nhalt"),
+    "bad_indirect_branch": "la a2, 0xD0000100\nji a2\nhalt",
+}
 
 
 def _run(program, backend, **kwargs):
@@ -143,26 +161,72 @@ class TestNativeRuntime:
         platform.sync.flush()
         assert platform.collect_result().observables() == interp
 
-    def test_wild_store_raises_like_interp(self):
-        """A store outside every window raises the same BusError."""
-        from repro.errors import BusError
+    @pytest.mark.parametrize("level", (0, 3))
+    @pytest.mark.parametrize("body", list(ERROR_PROGRAMS.values()),
+                             ids=list(ERROR_PROGRAMS))
+    def test_error_path_raises_like_interp(self, body, level):
+        """Every error kind the C slow-path helpers report re-raises the
+        interpreter's exception: same type, same message."""
         from repro.isa.tricore.assembler import assemble
 
-        obj = assemble("""
-_start:
-    li d1, 7
-    st.w [a0]0, d1
-    halt
-""")
-        program = translate(obj, level=0).program
+        program = translate(assemble(f"_start:\n{body}"), level=level).program
         errors = []
         for backend in ("interp", "native"):
-            try:
-                _run(program, backend)
-            except BusError as exc:
-                errors.append(str(exc))
-        assert len(errors) == 2
+            platform = PrototypingPlatform(program, backend=backend)
+            with pytest.raises(SimulationError) as info:
+                platform.run()
+            errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+        context = platform._compiler.native_context
+        assert context is not None and context.regions_native > 0
+
+
+class TestModuleSize:
+    #: characters of the L3 module each program emitted before the
+    #: annotation slow paths moved into shared prelude helpers
+    INLINE_SIZES = {"gcd": 478130, "fibonacci": 371575, "sieve": 432202}
+
+    @pytest.mark.parametrize("name", sorted(INLINE_SIZES))
+    def test_annotation_slow_paths_stay_out_of_line(self, name):
+        """``cc`` time grows with the emitted C, and the cycle-annotation
+        code dominates it: a guard that fails as soon as the device
+        slow paths, the writeback-commit loops or the exit epilogues
+        are inlined at every site again.  Emission is deterministic."""
+        from repro.vliw.codegen.emit_c import CEmitter
+        from repro.vliw.codegen.native import NativeContext
+
+        program = translate(build(name), level=3).program
+        compiler = PacketCompiler(
+            PrototypingPlatform(program, backend="compiled").core,
+            backend="compiled")
+        landing = tuple(sorted(program.addr_to_packet.values()))
+        source, _plan = CEmitter().emit_module(
+            NativeContext._module_irs(compiler), landing)
+        assert len(source) <= 0.75 * self.INLINE_SIZES[name]
+
+    def test_windows_outside_32_bit_space_decline(self):
+        """The single-compare window tests need every window inside the
+        32-bit space; a custom target placing one elsewhere declines
+        the region (the Python emitter runs it) instead of
+        miscompiling it."""
+        from dataclasses import replace
+
+        from repro.vliw.codegen.emit_c import CEmitter
+
+        program = translate(build("gcd"), level=3).program
+        compiler = PacketCompiler(
+            PrototypingPlatform(program, backend="compiled").core,
+            backend="compiled")
+        compiler.precompile()
+        ir = next(ir for ir in compiler._ir_cache.values()
+                  if ir is not None and not ir.pure)
+        emitter = CEmitter()
+        assert emitter.emit(ir) is not None
+        assert emitter.emit(replace(ir, sync_base=(1 << 32) - 8)) is None
+        assert emitter.emit(replace(ir, bridge_base=-4)) is None
+        assert emitter.emit(replace(ir, sync_base=ir.mem_base)) is None
+        _source, plan = emitter.emit_module([replace(ir, mem_len=2)])
+        assert not plan
 
 
 class TestNativeFallback:

@@ -62,6 +62,27 @@ class TestDigest:
         assert source_digest(source) != source_digest(source + " ")
 
 
+@pytest.mark.skipif(os.name != "posix", reason="fake compiler is a sh script")
+class TestFailedBuild:
+    """A failed ``cc`` — non-zero exit or timeout — yields None and
+    leaves no temp file behind in the cache directory."""
+
+    SCRIPTS = {"nonzero_exit": "exit 1", "timeout": "exec sleep 30"}
+
+    @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    def test_failed_build_leaves_no_temp_files(self, script, fresh_cache,
+                                               tmp_path_factory,
+                                               monkeypatch):
+        fake_cc = tmp_path_factory.mktemp("toolchain") / "cc"
+        fake_cc.write_text(f"#!/bin/sh\n{self.SCRIPTS[script]}\n")
+        fake_cc.chmod(0o755)
+        monkeypatch.setattr(native_mod, "_TOOLCHAIN", [str(fake_cc)])
+        monkeypatch.setattr(native_mod, "CC_TIMEOUT_S", 0.5)
+        source = "int sb0(void) { return 0; }\n"
+        assert native_mod.build_shared(source) is None
+        assert os.listdir(fresh_cache) == [f"{source_digest(source)}.c"]
+
+
 @needs_toolchain
 class TestDiskCache:
     def test_cache_redirection(self, fresh_cache):
