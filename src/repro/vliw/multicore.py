@@ -555,7 +555,8 @@ class MultiCoreSoC:
 
     @property
     def frontier(self) -> int:
-        """The SoC's global cycle: minimum over unfinished cores."""
+        """The SoC's global cycle: minimum over unfinished cores (read
+        from the barrier's kept state — cores move only through it)."""
         return self.barrier.frontier
 
     @property
@@ -576,7 +577,10 @@ class MultiCoreSoC:
         :class:`~repro.vliw.cluster.Cluster`: rounds executed here are
         exactly the rounds :meth:`run` would execute, just cut at the
         cluster's window boundary — so a clustered SoC schedules (and
-        arbitrates) identically to a standalone one.
+        arbitrates) identically to a standalone one.  Normal rounds,
+        and with them every shared access, start below *until*; an
+        adaptive run-ahead round is not cut there, so the frontier may
+        end past *until* (private execution never reaches the fabric).
         """
         self.barrier.run_until(until, max_cycles)
 

@@ -12,8 +12,8 @@ implementations share one round engine:
 * :class:`AdaptiveLockstepBarrier` keeps normal rounds bit-identical to
   a ``quantum=1`` :class:`LockstepBarrier` but inserts *run-ahead
   rounds* whenever every running member is provably inside private-only
-  code (see :mod:`repro.vliw.codegen.footprint`): the window spans the
-  minimum safe bound across members, so compiled cores execute whole
+  code (see :mod:`repro.vliw.codegen.footprint`): each member runs to
+  its own first possibly-shared access, so compiled cores execute whole
   region chains between barrier crossings without any shared-segment
   observable changing.
 * :class:`ProcessBarrier` drives members that live in worker processes:
@@ -62,6 +62,8 @@ class SyncMember(Protocol):
     their backend's atomic unit — one compiled region, or one inner
     lockstep quantum) and must itself raise
     :class:`~repro.errors.SimulationError` if it crosses *max_cycles*.
+    A member's ``cycles`` and ``finished`` change only inside its own
+    ``advance``: its barrier keeps them between grants.
     """
 
     cycles: int
@@ -79,6 +81,13 @@ class SyncBarrier:
     each of them to *horizon*.  Everything else — frontier computation,
     round-level ``max_cycles``, the no-progress guard, the round hooks
     — lives here so the two implementations cannot drift.
+
+    The barrier owns its members' frontier.  Members move only through
+    their barrier, so it reads each member's ``cycles``/``finished``
+    once at construction and then refreshes only the members a round
+    advanced; :attr:`frontier`, :attr:`finished` and round planning
+    read that kept state (a cluster member's ``cycles`` is a whole
+    SoC's frontier, so walking the members is not cheap).
     """
 
     def __init__(self, members: Sequence[SyncMember],
@@ -96,53 +105,69 @@ class SyncBarrier:
         self.on_round = on_round
         self.on_round_end = on_round_end
         self.rounds = 0
+        n = len(self.members)
+        #: grant order of a round with base b is ``_orders[b % n]``
+        self._orders = [tuple(range(first, n)) + tuple(range(first))
+                        for first in range(n)]
+        self._cycles = [m.cycles for m in self.members]
+        self._finished = [m.finished for m in self.members]
 
     @property
     def frontier(self) -> int:
         """Minimum cycle count over unfinished members (the global
         timebase); the maximum over all members once everyone halted."""
-        running = [m.cycles for m in self.members if not m.finished]
-        if running:
-            return min(running)
-        return max((m.cycles for m in self.members), default=0)
+        cycles = self._cycles
+        running = [c for c, done in zip(cycles, self._finished) if not done]
+        return min(running) if running else max(cycles)
 
     @property
     def finished(self) -> bool:
-        return all(m.finished for m in self.members)
+        return all(self._finished)
 
     def run_until(self, until: int | None, max_cycles: int) -> None:
         """Advance lockstep rounds until every member finished, or the
         frontier reaches *until* (``None`` = run to completion).
 
-        Raises :class:`SimulationError` when a round base reaches
+        Normal rounds start below *until*; a run-ahead round (adaptive
+        barrier) may carry members past it.  Raises
+        :class:`SimulationError` when a round base reaches
         *max_cycles*, or when a full round passes without progress.
         """
         members = self.members
+        cycles = self._cycles
+        finished = self._finished
+        orders = self._orders
         n = len(members)
-        running = [m for m in members if not m.finished]
-        while running:
-            base = min(m.cycles for m in running)
+        while True:
+            running = [i for i in range(n) if not finished[i]]
+            if not running:
+                return
+            base = min([cycles[i] for i in running])
             if until is not None and base >= until:
                 return
             if base >= max_cycles:
                 raise SimulationError(
                     f"target cycle limit {max_cycles} exceeded")
-            horizon, runahead = self._plan_round(base, running,
-                                                 until, max_cycles)
+            horizon, runahead = self._plan_round(base, running, max_cycles)
             self.rounds += 1
             if self.on_round is not None:
                 self.on_round(base)
             # rotating grant priority: member (base % n) goes first
-            granted = [members[(base + k) % n] for k in range(n)
-                       if not members[(base + k) % n].finished
-                       and members[(base + k) % n].cycles < horizon]
-            for member in granted:
-                member.grants += 1
-            before = [(m.cycles, m.finished) for m in granted]
-            self._advance_round(granted, horizon, max_cycles, runahead)
-            progressed = any(
-                m.cycles > cyc or m.finished != fin
-                for m, (cyc, fin) in zip(granted, before))
+            granted = [i for i in orders[base % n]
+                       if not finished[i] and cycles[i] < horizon]
+            for i in granted:
+                members[i].grants += 1
+            self._advance_round([members[i] for i in granted], horizon,
+                                max_cycles, runahead)
+            # only the members this round advanced can have moved
+            progressed = False
+            for i in granted:
+                member = members[i]
+                now, done = member.cycles, member.finished
+                if now > cycles[i] or done:
+                    progressed = True
+                cycles[i] = now
+                finished[i] = done
             if self.on_round_end is not None:
                 self.on_round_end(base, horizon)
             if not progressed:
@@ -156,14 +181,13 @@ class SyncBarrier:
                     raise SimulationError(
                         f"lockstep scheduler livelock: no core advanced "
                         f"past cycle {base} in a full arbitration round")
-            running = [m for m in members if not m.finished]
 
-    def _plan_round(self, base: int, running: Sequence[SyncMember],
-                    until: int | None, max_cycles: int
-                    ) -> tuple[int, bool]:
+    def _plan_round(self, base: int, running: Sequence[int],
+                    max_cycles: int) -> tuple[int, bool]:
         """Pick this round's ``(horizon, is_run_ahead)``.
 
-        The base implementation is the fixed-quantum window the round
+        *running* holds the indices of the unfinished members.  The
+        base implementation is the fixed-quantum window the round
         contract documents; :class:`AdaptiveLockstepBarrier` overrides
         it to grant provably-private run-ahead windows.
         """
@@ -222,22 +246,30 @@ class AdaptiveLockstepBarrier(LockstepBarrier):
     base reports a private bound of zero (its very next packet may
     touch the shared segment), the round becomes a **run-ahead
     round**: every member advances through ``advance_private`` with
-    the horizon thrown wide open (the ``until``/``max_cycles`` cap),
-    each stopping *dynamically* at its own first possibly-shared
-    access — whole compiled/native region chains, even whole compute
-    loops, execute inside one window.  The static bounds only gate
-    window *initiation* (so a window always makes progress); safety is
-    dynamic, which is what lets the window exceed the static
-    shortest-path bound — important, because the static bound is tiny
-    inside any loop whose exit path leads to a shared access.
-    Otherwise the round is a **normal round**, bit-identical to a
-    ``quantum=1`` :class:`LockstepBarrier` round: same frontier, same
-    rotating grant order, same arbitration round identity — and since
-    a member whose next access may be shared always reports bound 0,
-    every shared-segment access still executes in a normal round at a
-    base equal to the accessing core's own cycle count, exactly as
-    under ``quantum=1``.  Private execution is core-local and schedule
-    independent, so how far a member ran ahead is unobservable.
+    the horizon thrown wide open — bounded by ``max_cycles`` only, not
+    by the caller's ``until`` — each stopping *dynamically* at its own
+    first possibly-shared access: whole compiled/native region chains,
+    even whole compute loops, execute inside one window.  The static
+    bounds only gate window *initiation* (so a window always makes
+    progress); safety is dynamic, which is what lets the window exceed
+    the static shortest-path bound — important, because the static
+    bound is tiny inside any loop whose exit path leads to a shared
+    access.  Otherwise the round is a **normal round**, bit-identical
+    to a ``quantum=1`` :class:`LockstepBarrier` round: same frontier,
+    same rotating grant order, same arbitration round identity — and
+    since a member whose next access may be shared always reports
+    bound 0, every shared-segment access still executes in a normal
+    round at a base equal to the accessing core's own cycle count,
+    exactly as under ``quantum=1``.  Private execution is core-local
+    and schedule independent, so how far a member ran ahead is
+    unobservable.
+
+    Because only normal rounds stop at ``until``, ``run_until(until)``
+    may leave members past *until* after a run-ahead round, while no
+    normal round starts at a base at or past it.  The round sequence
+    therefore does not depend on where a caller cuts it: a SoC driven
+    in slices by a :class:`~repro.vliw.cluster.Cluster` runs exactly
+    the rounds it runs standalone.
 
     A run-ahead round in which nobody progresses (every granted member
     deferred to the interpreter) forces the next round to be a normal
@@ -255,15 +287,11 @@ class AdaptiveLockstepBarrier(LockstepBarrier):
         self.runahead_cycles = 0
         self._force_normal = False
         # the plan gate runs once per round: resolve the bound methods
-        # up front (None disables run-ahead entirely — every member
-        # must be adaptive for a window to be sound)
+        # up front, by member index (None disables run-ahead entirely
+        # — every member must be adaptive for a window to be sound)
         bound_fns = [getattr(m, "private_bound", None) for m in members]
-        self._bound_fns: dict[int, Callable[[], int]] | None
-        if any(fn is None for fn in bound_fns):
-            self._bound_fns = None
-        else:
-            self._bound_fns = {id(m): fn
-                               for m, fn in zip(members, bound_fns)}
+        self._bound_fns: list[Callable[[], int]] | None = (
+            None if any(fn is None for fn in bound_fns) else bound_fns)
         # gate back-off: during long all-at-the-frontier phases (cores
         # trading shared-device polls) the gate fails every round, and
         # its cost — one bound computation per frontier member — adds
@@ -274,25 +302,22 @@ class AdaptiveLockstepBarrier(LockstepBarrier):
         self._gate_resume = 0
         self._gate_backoff = 1
 
-    def _plan_round(self, base: int, running: Sequence[SyncMember],
-                    until: int | None, max_cycles: int
-                    ) -> tuple[int, bool]:
-        bounds = self._bound_fns
-        if bounds is None:
-            return base + 1, False
-        if self._force_normal:
+    def _plan_round(self, base: int, running: Sequence[int],
+                    max_cycles: int) -> tuple[int, bool]:
+        bound_fns = self._bound_fns
+        if (bound_fns is None or self._force_normal
+                or base < self._gate_resume):
             self._force_normal = False
             return base + 1, False
-        if base < self._gate_resume:
-            return base + 1, False
-        for member in running:
+        cycles = self._cycles
+        for i in running:
             # the gate only has to guarantee progress (safety inside
             # the window is dynamic): it fails exactly when a member
             # sitting at the frontier may touch the shared segment with
             # its very next packet — members past the base pass
             # whatever their bound is, and only frontier members pay
             # for a bound computation
-            if member.cycles == base and bounds[id(member)]() == 0:
+            if cycles[i] == base and bound_fns[i]() == 0:
                 self._gate_resume = base + self._gate_backoff
                 self._gate_backoff = min(self._gate_backoff * 2, 8)
                 return base + 1, False
@@ -302,8 +327,7 @@ class AdaptiveLockstepBarrier(LockstepBarrier):
         # dynamically at its own first possibly-shared access, and the
         # frontier bounds guarantee the window makes progress
         self.runahead_rounds += 1
-        horizon = max_cycles if until is None else min(until, max_cycles)
-        return horizon, True
+        return max_cycles, True
 
     def _runahead_stalled(self, base: int) -> None:
         self._force_normal = True

@@ -1,12 +1,14 @@
 """Differential lockdown of the SoC cluster over the modeled fabric.
 
-Two contracts pin the cluster layer:
+Three contracts pin the cluster layer:
 
 * **Degenerate identity** — a :class:`~repro.vliw.cluster.Cluster` of
   one SoC is pure overhead: its sole SoC must produce observables bit
   identical to a standalone
-  :class:`~repro.vliw.multicore.MultiCoreSoC`, for every backend mix
-  and detail level.  The fabric endpoint exists but routes nothing.
+  :class:`~repro.vliw.multicore.MultiCoreSoC`, for every backend mix,
+  detail level and core quantum — raw global bus trace, grants and
+  lockstep round counts included.  The fabric endpoint exists but
+  routes nothing.
 * **Cross-barrier bit identity** — for every distributed workload and
   backend mix, the in-process ``barrier="lockstep"`` and the
   cross-process ``barrier="process"`` executions must produce bit
@@ -16,6 +18,10 @@ Two contracts pin the cluster layer:
   of :mod:`repro.vliw.fabric`: quantum <= fabric minimum latency makes
   window-barrier routing order-independent, so parallel workers cannot
   diverge from the serial schedule.
+* **Backend independence** — interp, compiled and native SoCs produce
+  the same cluster observables on both topologies, although their
+  window sequences differ (a backend's overshoot of one window decides
+  where the next starts).
 
 Plus the PR-3 round-safety contracts end to end (``max_cycles`` and
 the no-progress raise, in both barrier modes) and the registry's
@@ -37,9 +43,8 @@ from repro.programs.registry import (
 from repro.translator.driver import translate
 from repro.vliw.cluster import Cluster
 from repro.vliw.codegen.native import native_available
-from repro.soc.bus import SharedIoMap
 from repro.vliw.fabric import MAX_NODES, FabricConfig
-from repro.vliw.multicore import CORE_IO_STRIDE, MultiCoreSoC
+from repro.vliw.multicore import MultiCoreSoC
 from repro.vliw.platform import PrototypingPlatform
 
 LEVEL = 2
@@ -82,42 +87,36 @@ class TestDegenerateClusterIdentity:
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_equals_standalone_soc_across_levels(self, level, translated):
-        program = translated("mbox_pingpong", level)
-        for backends in _mixes(N_CORES):
-            soc = MultiCoreSoC(program, cores=N_CORES, backends=backends)
-            alone = soc.run()
-            clustered = Cluster(program, socs=1, cores=N_CORES,
-                                backends=backends).run()
-            inner = clustered.per_soc[0]
-            assert inner.observables() == alone.observables()
-            # the shared-segment (arbitrated) slice of the global trace
-            # is schedule-invariant; partition-local traffic may
-            # interleave differently (docs/multicore.md) because the
-            # cluster cuts the adaptive quantum's run-ahead windows at
-            # its window boundaries while a standalone run opens them
-            # wide — each partition's own subsequence is still identical
-            assert _trace_tuples(inner.shared_trace()) == \
-                _trace_tuples(alone.shared_trace())
-            for inner_part, alone_part in zip(_partitioned(inner.bus_trace),
-                                              _partitioned(alone.bus_trace)):
-                assert inner_part == alone_part
-            assert inner.contention_conflicts == alone.contention_conflicts
-            # under a fixed quantum the schedules coincide exactly, so
-            # the historical bit-for-bit identity — raw global trace
-            # order and grant counts included — still holds
-            fixed = MultiCoreSoC(program, cores=N_CORES,
-                                 backends=backends, quantum=1).run()
-            fixed_clustered = Cluster(program, socs=1, cores=N_CORES,
-                                      backends=backends,
-                                      core_quantum=1).run()
-            assert fixed_clustered.per_soc[0].observables() == \
-                fixed.observables()
-            assert _trace_tuples(fixed_clustered.per_soc[0].bus_trace) == \
-                _trace_tuples(fixed.bus_trace)
-            assert fixed_clustered.per_soc[0].grants == fixed.grants
-        # nothing ever crossed the (1-node) fabric
-        assert clustered.fabric["words_routed"] == 0
-        assert clustered.per_soc_fabric[0]["sent"] == 0
+        # mbox_allreduce's long private phases are where run-ahead
+        # windows span the most cluster windows; interpreted cores need
+        # tens of seconds per run there, so it runs on translated mixes
+        cases = [("mbox_pingpong", backends) for backends in _mixes(N_CORES)]
+        cases += [("mbox_allreduce", backends)
+                  for backends in _mixes(N_CORES)
+                  if not {"interp", "tiered"} & set(backends)]
+        for name, backends in cases:
+            program = translated(name, level)
+            for core_quantum in ("adaptive", 1):
+                alone = MultiCoreSoC(program, cores=N_CORES,
+                                     backends=backends,
+                                     quantum=core_quantum).run()
+                clustered = Cluster(program, socs=1, cores=N_CORES,
+                                    backends=backends,
+                                    core_quantum=core_quantum).run()
+                inner = clustered.per_soc[0]
+                case = (name, backends, core_quantum)
+                assert inner.observables() == alone.observables(), case
+                assert _trace_tuples(inner.bus_trace) == \
+                    _trace_tuples(alone.bus_trace), case
+                assert inner.grants == alone.grants, case
+                assert inner.contention_conflicts == \
+                    alone.contention_conflicts, case
+                for key in ("rounds", "runahead_rounds"):
+                    assert inner.lockstep[key] == alone.lockstep[key], \
+                        (case, key)
+                # nothing ever crossed the (1-node) fabric
+                assert clustered.fabric["words_routed"] == 0
+                assert clustered.per_soc_fabric[0]["sent"] == 0
 
     def test_single_core_single_soc(self, translated):
         """The doubly degenerate cluster matches the plain platform."""
@@ -142,19 +141,6 @@ class TestDegenerateClusterIdentity:
 
 def _trace_tuples(trace):
     return [(a.cycle, a.kind, a.addr, a.value, a.size) for a in trace]
-
-
-def _partitioned(trace):
-    """Per-core-partition subsequences of a SoC's global bus trace
-    (plus the shared segment as the final slot), in trace order."""
-    shared = SharedIoMap()
-    parts = [[] for _ in range(N_CORES + 1)]
-    for access in trace:
-        if access.addr >= shared.base:
-            parts[N_CORES].append(access)
-        else:
-            parts[access.addr // CORE_IO_STRIDE].append(access)
-    return [_trace_tuples(part) for part in parts]
 
 
 class TestDistributedWorkloads:
@@ -260,6 +246,52 @@ class TestCrossBarrierBitIdentity:
             assert parallel.observables() == serial.observables(), backends
 
 
+_FABRICS = (FabricConfig(word_cycles=2),
+            FabricConfig(word_cycles=8, topology="ring"))
+
+
+@pytest.fixture(scope="module")
+def cluster_observables(translated):
+    """Observables of one cluster run, minus the window schedule
+    (``grants``, ``soc_grants`` and ``rounds`` count windows, and where
+    the next window starts depends on how far a backend overshoots
+    the last one); memoized so every backend compares with one
+    interp run."""
+    cache = {}
+
+    def get(name, socs, cores, fabric, backend):
+        key = (name, socs, cores, fabric, backend)
+        if key not in cache:
+            obs = Cluster(translated(name), socs=socs, cores=cores,
+                          backends=backend, fabric=fabric).run().observables()
+            for schedule in ("grants", "soc_grants", "rounds"):
+                del obs[schedule]
+            cache[key] = obs
+        return cache[key]
+
+    return get
+
+
+class TestClusterBackendIndependence:
+    """Cluster observables do not depend on the backend: per-SoC
+    results, shared traces, contention and every fabric counter are
+    the interp reference's, whatever the window sequence was."""
+
+    @pytest.mark.parametrize("backend", (
+        "compiled",
+        pytest.param("native", marks=pytest.mark.skipif(
+            not _NATIVE, reason="needs a C toolchain"))))
+    @pytest.mark.parametrize("fabric", _FABRICS, ids=("xbar-w2", "ring-w8"))
+    @pytest.mark.parametrize("socs,cores", ((2, 2), (4, 1)),
+                             ids=("2x2", "4x1"))
+    @pytest.mark.parametrize("name", ("token_ring", "allreduce",
+                                      "work_steal"))
+    def test_observables_match_interp(self, name, socs, cores, fabric,
+                                      backend, cluster_observables):
+        assert cluster_observables(name, socs, cores, fabric, backend) == \
+            cluster_observables(name, socs, cores, fabric, "interp")
+
+
 class TestClusterRoundSafety:
     """PR-3 contracts survive the extraction, end to end, both modes."""
 
@@ -291,10 +323,8 @@ class TestClusterRoundSafety:
         with pytest.raises(SimulationError, match="quantum"):
             Cluster(program, socs=2, fabric=config, quantum=5)
         # a smaller window is allowed; it multiplies the cluster-level
-        # round bookkeeping (and, under the adaptive core quantum, cuts
-        # the intra-SoC run-ahead windows into more grants) but leaves
-        # every simulation observable (per-SoC results, traces, fabric
-        # timing) untouched
+        # round bookkeeping but leaves every simulation observable
+        # (per-SoC results, traces, fabric timing) untouched
         small = Cluster(program, socs=2, fabric=config, quantum=1).run()
         full = Cluster(program, socs=2, fabric=config).run()
         small_obs, full_obs = small.observables(), full.observables()

@@ -15,7 +15,12 @@ worker processes (the cross-process end-to-end equivalents live in
 import pytest
 
 from repro.errors import SimulationError
-from repro.vliw.sync import LockstepBarrier, ProcessBarrier, SyncBarrier
+from repro.vliw.sync import (
+    AdaptiveLockstepBarrier,
+    LockstepBarrier,
+    ProcessBarrier,
+    SyncBarrier,
+)
 
 
 class FakeMember:
@@ -186,6 +191,168 @@ class TestRoundSafetyContracts:
             LockstepBarrier([FakeMember(1)], quantum=0)
         with pytest.raises(NotImplementedError):
             SyncBarrier([FakeMember(1)])._advance_round([], 1, 1)
+
+
+class ScriptedAdaptive:
+    """Adaptive fake: private code except at the cycles in *shared*
+    (each must execute in a normal round), finishes at *work* cycles.
+    Logs every grant as ``(kind, name, cycles, horizon)``."""
+
+    def __init__(self, work, shared=(), name="m", log=None):
+        self.work = work
+        self.shared = sorted(shared)
+        self.name = name
+        self.cycles = 0
+        self.finished = False
+        self.grants = 0
+        self.log = log if log is not None else []
+
+    def _next_shared(self):
+        return next((c for c in self.shared if c >= self.cycles),
+                    self.work)
+
+    def private_bound(self):
+        return self._next_shared() - self.cycles
+
+    def advance(self, until, max_cycles):
+        self.log.append(("normal", self.name, self.cycles, until))
+        self.cycles = min(until, self.work)
+        self.finished = self.cycles >= self.work
+
+    def advance_private(self, until, max_cycles):
+        self.log.append(("window", self.name, self.cycles, until))
+        self.cycles = min(until, self._next_shared())
+        self.finished = self.cycles >= self.work
+
+    post_advance = FakeMember.post_advance
+    wait_advance = FakeMember.wait_advance
+
+
+def _fleet(log=None):
+    return [ScriptedAdaptive(400, (30, 31, 200), "a", log),
+            ScriptedAdaptive(300, (5, 90), "b", log),
+            ScriptedAdaptive(350, (40, 41, 42, 260), "c", log)]
+
+
+def _actual_state(members):
+    running = [m.cycles for m in members if not m.finished]
+    frontier = min(running) if running else max(m.cycles for m in members)
+    return frontier, all(m.finished for m in members)
+
+
+class TestRunAheadPastUntil:
+    """Run-ahead windows are bounded by ``max_cycles`` only; normal
+    rounds, and with them every shared access, stay below ``until``."""
+
+    def test_one_window_leaves_members_past_until(self):
+        members = [ScriptedAdaptive(1000, (500,), "a"),
+                   ScriptedAdaptive(1000, (700,), "b")]
+        barrier = AdaptiveLockstepBarrier(members)
+        barrier.run_until(16, 10_000)
+        assert barrier.rounds == barrier.runahead_rounds == 1
+        assert [m.cycles for m in members] == [500, 700]
+        assert members[0].log == [("window", "a", 0, 10_000)]
+        assert barrier.frontier == 500
+
+    def test_no_normal_round_starts_at_or_past_until(self):
+        log = []
+        members = _fleet(log)
+        barrier = AdaptiveLockstepBarrier(members)
+        until = 0
+        while not barrier.finished:
+            until += 16
+            start = len(log)
+            barrier.run_until(until, 10_000)
+            for kind, _name, _cycles, horizon in log[start:]:
+                if kind == "normal":
+                    assert horizon - 1 < until  # quantum-1 base
+        assert barrier.runahead_rounds > 1
+
+    def test_slicing_does_not_change_the_rounds(self):
+        """The round sequence does not depend on where run_until cuts
+        it: slices of 16 replay the uncut run grant for grant."""
+        whole_log, sliced_log = [], []
+        whole = AdaptiveLockstepBarrier(_fleet(whole_log))
+        whole.run_until(None, 10_000)
+        sliced = AdaptiveLockstepBarrier(_fleet(sliced_log))
+        until = 0
+        while not sliced.finished:
+            until += 16
+            sliced.run_until(until, 10_000)
+        assert sliced_log == whole_log
+        assert (sliced.rounds, sliced.runahead_rounds) == \
+            (whole.rounds, whole.runahead_rounds)
+
+    def test_cycle_limit_still_raises(self):
+        """A window may run up to max_cycles in an early slice; the
+        round-level limit then raises from the first slice whose
+        until lies past it, as it did when windows were cut."""
+        members = [ScriptedAdaptive(10**9, (), "a"),
+                   ScriptedAdaptive(10**9, (), "b")]
+        barrier = AdaptiveLockstepBarrier(members)
+        barrier.run_until(16, 50)
+        assert [m.cycles for m in members] == [50, 50]
+        barrier.run_until(48, 50)
+        with pytest.raises(SimulationError, match="cycle limit"):
+            barrier.run_until(64, 50)
+        with pytest.raises(SimulationError, match="cycle limit"):
+            AdaptiveLockstepBarrier(_fleet()).run_until(None, 50)
+
+    def test_livelock_still_raises(self):
+        class Stuck(ScriptedAdaptive):
+            def advance(self, until, max_cycles):
+                self.log.append(("normal", self.name, self.cycles, until))
+
+        stuck = Stuck(100, (10,), "stuck")
+        barrier = AdaptiveLockstepBarrier([stuck])
+        with pytest.raises(SimulationError, match="livelock"):
+            barrier.run_until(64, 1000)
+        # the window ran the member up to its shared access, the
+        # normal round at that base stepped nobody
+        assert stuck.log[0] == ("window", "stuck", 0, 1000)
+        assert stuck.cycles == 10
+
+
+class TestBarrierOwnsTheFrontier:
+    """The barrier keeps every member's cycles/finished: its frontier
+    matches the members after every call, without reading them."""
+
+    @pytest.mark.parametrize("barrier_cls", BARRIERS + (
+        AdaptiveLockstepBarrier,))
+    def test_frontier_matches_members_after_every_call(self, barrier_cls):
+        members = _fleet()
+        barrier = barrier_cls(members)
+        assert (barrier.frontier, barrier.finished) == \
+            _actual_state(members)
+        until = 0
+        while not barrier.finished:
+            until += 16
+            barrier.run_until(until, 10_000)
+            assert (barrier.frontier, barrier.finished) == \
+                _actual_state(members)
+        assert barrier.frontier == 400
+
+    def test_frontier_reads_no_member(self):
+        reads = []
+
+        class Counted(ScriptedAdaptive):
+            @property
+            def cycles(self):
+                reads.append(self.name)
+                return self._cycles
+
+            @cycles.setter
+            def cycles(self, value):
+                self._cycles = value
+
+        members = [Counted(40, (10, 25), "a"), Counted(30, (), "b")]
+        barrier = AdaptiveLockstepBarrier(members)
+        barrier.run_until(20, 1000)
+        reads.clear()
+        for _ in range(3):
+            assert barrier.frontier == 25
+            assert not barrier.finished
+        assert reads == []
 
 
 class TestMultiCoreSoCUsesTheBarrier:
