@@ -56,7 +56,7 @@ def _backends() -> tuple[str, ...]:
     if SMOKE:
         return ("compiled",)
     if native_available():
-        return ("compiled", "native", "tiered")
+        return ("compiled", "native")
     return ("compiled",)
 
 

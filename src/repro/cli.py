@@ -250,15 +250,6 @@ def translate_main(argv: list[str] | None = None) -> int:
             print(f"native: {context.n_native_regions} regions compiled "
                   f"({context.binding.kind}), {context.regions_native} "
                   f"entered, {context.regions_demoted} demoted to Python")
-    elif args.backend == "tiered" and platform._compiler is not None:
-        tier_stats = platform._compiler.tier_stats()
-        counts = {"interp": 0, "python": 0, "native": 0}
-        for info in tier_stats["regions"].values():
-            counts[info["tier"]] += 1
-        print(f"tiered: {counts['interp']} regions interpreted, "
-              f"{tier_stats['promoted_python']} promoted to Python, "
-              f"{tier_stats['promoted_native']} promoted to native "
-              f"superblocks, {tier_stats['demoted']} demoted")
     if run.uart_output:
         print(f"uart: {run.uart_output!r}")
     return 0

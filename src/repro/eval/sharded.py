@@ -60,7 +60,7 @@ from repro.programs.registry import build
 from repro.refsim.iss import CycleAccurateISS
 from repro.refsim.rtlsim import RtlSimulator
 from repro.translator.driver import TranslationResult, translate
-from repro.vliw.codegen import TierConfig, resolve_backend
+from repro.vliw.codegen import resolve_backend
 from repro.vliw.compiled import precompile_program
 from repro.vliw.platform import PrototypingPlatform
 
@@ -89,10 +89,6 @@ class ShardSpec:
     quantum: int | str = "adaptive"
     #: explicit object file instead of a registry program name
     obj: ObjectFile | None = None
-    #: tier-ladder thresholds for ``backend="tiered"`` shards (frozen,
-    #: so it both hashes into the precompile memo key and pickles to
-    #: workers); None reads the worker's ``REPRO_TIER_*`` environment
-    tier: TierConfig | None = None
 
     def validate(self) -> "ShardSpec":
         if self.kind not in SHARD_KINDS:
@@ -254,7 +250,7 @@ def _run_payload(payload: tuple) -> dict:
 
         soc = MultiCoreSoC(carrier, cores=spec.cores, backends=spec.backend,
                            source_arch=arch, sync_rate=spec.sync_rate,
-                           tier=spec.tier, quantum=spec.quantum)
+                           quantum=spec.quantum)
         start = time.perf_counter()
         multi = soc.run()
         wall = time.perf_counter() - start
@@ -266,7 +262,7 @@ def _run_payload(payload: tuple) -> dict:
             lockstep=multi.lockstep)
     platform = PrototypingPlatform(carrier, source_arch=arch,
                                    sync_rate=spec.sync_rate,
-                                   backend=spec.backend, tier=spec.tier)
+                                   backend=spec.backend)
     start = time.perf_counter()
     result = platform.run()
     wall = time.perf_counter() - start
@@ -278,9 +274,7 @@ def _run_payload(payload: tuple) -> dict:
 
 
 def run_pickled_program(blob: bytes, backend: str = "compiled",
-                        sync_rate: float = 1.0,
-                        tier: TierConfig | None = None,
-                        ) -> tuple[dict, int, int]:
+                        sync_rate: float = 1.0) -> tuple[dict, int, int]:
     """Unpickle a translated program and execute it on the platform.
 
     Returns ``(observables, regions_generated, regions_from_cache)``.
@@ -291,7 +285,7 @@ def run_pickled_program(blob: bytes, backend: str = "compiled",
     """
     program = pickle.loads(blob)
     platform = PrototypingPlatform(program, sync_rate=sync_rate,
-                                   backend=backend, tier=tier)
+                                   backend=backend)
     result = platform.run()
     compiler = platform._compiler
     return (result.observables(),
@@ -456,16 +450,15 @@ class ShardedRunner:
         # emitter, so the parent must warm that cache, not the
         # inline-shared one (regions_generated == 0 contract)
         inline = spec.cores == 1 or spec.quantum == "adaptive"
-        pre_key = (key, spec.backend, spec.tier, inline)
+        pre_key = (key, spec.backend, inline)
         if (self.precompile and resolve_backend(spec.backend).compiled
                 and self._precompiled.get(pre_key) is None):
-            # fills the program's source + IR caches; the native and
-            # tiered backends also build the superblock module into
-            # the on-disk cache, so workers dlopen instead of invoking
-            # the C compiler
+            # fills the program's source + IR caches; the native
+            # backend also builds the superblock module into the
+            # on-disk cache, so workers dlopen instead of invoking the
+            # C compiler
             precompile_program(tr.program, source_arch=self.source_arch,
-                               backend=spec.backend, tier=spec.tier,
-                               inline_shared=inline)
+                               backend=spec.backend, inline_shared=inline)
             self._precompiled[pre_key] = True
             self.stats["precompiles"] += 1
         return tr

@@ -26,14 +26,6 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
-from repro.vliw.codegen.tiering import TierConfig
-
-#: thresholds the oracle uses for ``tiered`` sweeps unless the caller
-#: overrides them: low enough that promotion (interp -> Python ->
-#: native superblock) happens *mid-program* even on short fuzz
-#: programs, which is the interesting surface — a threshold the
-#: program never reaches would silently test only the cold stub.
-AGGRESSIVE_TIER = TierConfig(promote_python=2, promote_native=4)
 
 #: observable fields that must match the *reference ISS* (functional
 #: equivalence); timing fields are compared only platform-vs-platform.
@@ -52,12 +44,6 @@ class FuzzConfig:
     quantum: int | str = "adaptive"
     max_instructions: int = 2_000_000
     max_cycles: int = 20_000_000
-    #: ladder thresholds for ``tiered`` sweep members; None picks
-    #: :data:`AGGRESSIVE_TIER` so promotions fire mid-program
-    tier: TierConfig | None = None
-
-    def resolved_tier(self) -> TierConfig:
-        return self.tier if self.tier is not None else AGGRESSIVE_TIER
 
 
 @dataclass
@@ -162,10 +148,8 @@ def check_source(source: str,
         for backend in config.backends:
             where = f"L{level} {backend}"
             try:
-                result = PrototypingPlatform(
-                    program, backend=backend,
-                    tier=config.resolved_tier()).run(
-                        max_cycles=config.max_cycles)
+                result = PrototypingPlatform(program, backend=backend).run(
+                    max_cycles=config.max_cycles)
             except Exception as exc:
                 fail("crash", where, f"{type(exc).__name__}: {exc}")
                 continue
@@ -193,8 +177,7 @@ def check_source(source: str,
             try:
                 multi = MultiCoreSoC(program, cores=config.cores,
                                      backends=mix,
-                                     quantum=config.quantum,
-                                     tier=config.resolved_tier()).run(
+                                     quantum=config.quantum).run(
                                          max_cycles=config.max_cycles)
             except Exception as exc:
                 fail("crash", where, f"{type(exc).__name__}: {exc}")

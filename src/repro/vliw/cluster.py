@@ -61,7 +61,6 @@ def _build_soc(payload: dict) -> MultiCoreSoC:
         sync_access_stall=payload["sync_access_stall"],
         contention_stall=payload["contention_stall"],
         strict=payload["strict"],
-        tier=payload["tier"],
         node=payload["node"],
         nodes=payload["nodes"],
         quantum=payload["core_quantum"],
@@ -321,7 +320,6 @@ class Cluster:
                  sync_access_stall: int = 4,
                  contention_stall: int = CONTENTION_STALL,
                  strict: bool = True,
-                 tier=None,
                  core_quantum: int | str = "adaptive") -> None:
         if isinstance(programs, C6xProgram):
             if socs is None:
@@ -375,7 +373,6 @@ class Cluster:
                 sync_access_stall=sync_access_stall,
                 contention_stall=contention_stall,
                 strict=strict,
-                tier=tier,
                 node=node,
                 nodes=n,
                 core_quantum=core_quantum,
@@ -464,7 +461,6 @@ class Cluster:
                     bridge_stall=payload["bridge_stall"],
                     sync_access_stall=payload["sync_access_stall"],
                     strict=payload["strict"], backend=backend,
-                    tier=payload["tier"],
                     inline_shared=payload["core_quantum"] == "adaptive")
 
     def _exchange(self, base: int, horizon: int) -> None:

@@ -29,9 +29,8 @@ from typing import Protocol
 
 from repro.errors import SimulationError
 from repro.vliw.codegen.ir import RegionIR
-from repro.vliw.codegen.tiering import TierConfig
 
-__all__ = ["BackendSpec", "RegionEmitter", "TierConfig",
+__all__ = ["BackendSpec", "RegionEmitter",
            "backend_names", "register_backend", "resolve_backend"]
 
 
@@ -64,10 +63,6 @@ class BackendSpec:
     compiled: bool
     #: True: pure regions additionally lower to native code at run time
     native: bool = False
-    #: True: profile-guided tier ladder (interp -> Python emitter ->
-    #: native superblocks), thresholds from
-    #: :class:`~repro.vliw.codegen.tiering.TierConfig`
-    tiered: bool = False
 
 
 #: the backend registry; insertion order is presentation order
@@ -114,10 +109,3 @@ register_backend(BackendSpec(
             "time (cffi/ctypes); Python emitter for device regions "
             "and hosts without a C compiler",
     compiled=True, native=True))
-register_backend(BackendSpec(
-    name="tiered",
-    summary="profile-guided tier ladder: regions start on the "
-            "interpretive core, promote to the Python emitter and "
-            "then to native superblocks as they get hot "
-            "(REPRO_TIER_* knobs)",
-    compiled=True, tiered=True))

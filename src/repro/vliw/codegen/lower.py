@@ -113,10 +113,8 @@ def packet_device_flags(program, pc0: int, n_packets: int) -> tuple:
     ``flags[k]`` is True when packet ``pc0 + k`` carries at least one
     device-flagged access — the same test
     :meth:`RegionLowerer._lower_packet` uses to give a packet its
-    dispatch shape.  The tiered backend's cold (interpreted) tier uses
-    these to defer device packets at a lockstep-quantum boundary, the
-    way ``run_slice`` defers individual interpreted packets, without
-    lowering the region first.
+    dispatch shape.  The packet compiler's ``inline_entry_fn`` uses it
+    to recognize a device entry packet without lowering the region.
     """
     packets = program.packets
     return tuple(

@@ -37,8 +37,7 @@ that source into running code:
   internal chain edge into an exit, and its Python rendering (which
   dispatches device accesses inline) takes over, so steady-state
   performance is never worse than the packet compiler's.  The bail
-  threshold is :data:`BAIL_SWITCH` unless the compiler's
-  :class:`~repro.vliw.codegen.tiering.TierConfig` overrides it.
+  threshold is :data:`BAIL_SWITCH`.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ from repro.vliw.codegen.emit_c import (
 from repro.vliw.codegen.ir import RegionIR
 
 #: bails after which a native member demotes to its Python rendering
-#: (the default demotion rung of the tier ladder; a compiler's
-#: :class:`~repro.vliw.codegen.tiering.TierConfig` may override it)
+#: (read at every bail, so tests can patch it)
 BAIL_SWITCH = 16
 
 #: wall-clock cap on one module build, in seconds
@@ -457,9 +455,9 @@ class NativeContext:
         core = compiler.core
         # C6xCore guarantees buffer-protocol register storage from
         # construction; replacing the object here instead would strand
-        # every Python-emitted region exec'd before a mid-run attach
-        # (backend="tiered" attaches at the first native promotion) on
-        # a dead snapshot of the register file
+        # every Python-emitted region exec'd on this core before the
+        # attach (another compiler may have run it) on a dead snapshot
+        # of the register file
         self.regs_buf = binding.u32_buffer(core.regs)
         self.mem_buf = binding.u8_buffer(core._mem)
         self.io = binding.new_io()
@@ -507,17 +505,11 @@ class NativeContext:
             self.regions_native += 1
         return cached[0]
 
-    def _bail_switch(self) -> int:
-        tier = getattr(self.compiler, "tier", None)
-        if tier is not None and tier.demote_bails is not None:
-            return tier.demote_bails
-        return BAIL_SWITCH  # module global: patchable in tests
-
     def _count_bail(self, pc0: int) -> None:
         """One interpreter bail attributed to member entry *pc0*."""
         bails = self._bails.get(pc0, 0) + 1
         self._bails[pc0] = bails
-        if bails >= self._bail_switch() and pc0 not in self._demoted:
+        if bails >= BAIL_SWITCH and pc0 not in self._demoted:
             self.demote(pc0)
 
     def demote(self, pc0: int) -> None:

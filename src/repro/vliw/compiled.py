@@ -72,7 +72,7 @@ from typing import Callable
 
 from repro.errors import BusError, SimulationError
 from repro.isa.c6x.instructions import TOp
-from repro.vliw.codegen import TierConfig, resolve_backend
+from repro.vliw.codegen import resolve_backend
 from repro.vliw.codegen.emit_python import PythonEmitter
 from repro.vliw.codegen.lower import (
     lower_region,
@@ -125,18 +125,13 @@ class PacketCompiler:
     over that core's mutable state (register file, data memory, stats,
     sync device), so the compiler must be rebuilt if the core is.
     *backend* selects the stage-3 emitter set: ``"compiled"`` renders
-    every region as host Python, ``"native"`` additionally routes
+    every region as host Python, and ``"native"`` additionally routes
     regions through the C superblock emitter (transparently
-    downgrading to the Python emitter when no toolchain is available),
-    and ``"tiered"`` climbs the profile-guided ladder — interpreted,
-    then Python-emitted, then native superblocks — per region entry,
-    with thresholds from *tier* (defaulting to the ``REPRO_TIER_*``
-    environment knobs).
+    downgrading to the Python emitter when no toolchain is available).
     """
 
     def __init__(self, core: C6xCore, max_region_packets: int = 256,
                  backend: str = "compiled",
-                 tier: TierConfig | None = None,
                  inline_shared: bool = True) -> None:
         spec = resolve_backend(backend)
         if not spec.compiled:
@@ -151,10 +146,6 @@ class PacketCompiler:
         #: every shared access to the interpreter — kept as the
         #: reference baseline of the lockstep differential contract
         self.inline_shared = inline_shared
-        #: tier-ladder thresholds; also supplies the native demotion
-        #: threshold when set explicitly (every compiled backend demotes)
-        self.tier = tier if tier is not None else TierConfig.from_env()
-        self.tiered = spec.tiered
         self.max_region_packets = max_region_packets
         self.exit_device = core.bridge.bus.device("exit")
         self.emitter = PythonEmitter(inline_shared=inline_shared)
@@ -178,17 +169,8 @@ class PacketCompiler:
         #: block-function cache: entry packet index -> compiled callable
         #: (or the INTERP sentinel for entries only the core can run)
         self._fns: dict[int, Callable | _InterpSentinel] = {}
-        #: tier ladder state (``backend="tiered"``): executions per
-        #: region entry on the pre-native tiers, promoted callables,
-        #: and promotion counters for :meth:`tier_stats`
-        self.tier_counts: dict[int, int] = {}
         #: memo of :meth:`inline_entry_fn` (None entries cached too)
         self._inline_entry_fns: dict[int, Callable | None] = {}
-        self._tier_python_fns: dict[int, Callable] = {}
-        self._tier_native_fns: dict[int, Callable] = {}
-        self.tier_promoted_python = 0
-        self.tier_promoted_native = 0
-        self._native_tried = False
         self.regions_compiled = 0
         #: regions whose source this compiler had to generate (cache
         #: misses) vs. regions whose source was already in the
@@ -220,7 +202,6 @@ class PacketCompiler:
             from repro.vliw.codegen.native import NativeContext
 
             self._native = NativeContext.attach(self)
-            self._native_tried = True
 
     def _program_cache(self, attr: str) -> dict:
         caches = getattr(self.program, attr, None)
@@ -267,9 +248,9 @@ class PacketCompiler:
         fns = self._fns
         step = core.step_packet
         exit_device = self.exit_device
-        # native superblocks (and the cold tier's device-packet
-        # deferral) budget against this cell so internal chaining stops
-        # at the same quantum boundary this loop checks below
+        # native superblocks budget against this cell so internal
+        # chaining stops at the same quantum boundary this loop checks
+        # below
         self._limit[0] = (max_cycles if until is None
                           else min(until, max_cycles))
         while (not core.halted and not exit_device.exited
@@ -443,11 +424,9 @@ class PacketCompiler:
             self.regions_generated += 1
         else:
             self.regions_from_cache += 1
-        source, name, n_packets = cached
+        source, name, _n_packets = cached
         if source is None:
             return INTERP
-        if self.tiered:
-            return self._tier_cold(pc0, n_packets)
         if self._native is not None:
             fn = self._native.wrapper_for(pc0)
             if fn is not None:
@@ -472,150 +451,6 @@ class PacketCompiler:
         ns = self._namespace()
         exec(_host_code(source, pc0), ns)
         return ns[name]
-
-    # -- the tier ladder (backend="tiered") --------------------------------
-
-    def _tier_cold(self, pc0: int, n_packets: int):
-        """Tier 0: interpret the region atomically while counting.
-
-        The stub runs the region's packets through
-        :meth:`C6xCore.step_packet` in one call, so the entry keeps the
-        same region granularity the compiled tiers use (per-packet
-        interpretation would re-dispatch — and discover new entries —
-        at every packet boundary).  Device packets are deferred at a
-        lockstep-quantum boundary exactly the way ``run_slice`` defers
-        individual interpreted packets, which keeps shared-device
-        accesses executing at the lockstep scheduler's global minimum
-        cycle.  After :attr:`TierConfig.promote_python` executions the
-        entry promotes to its Python-emitted rendering.
-        """
-        core = self.core
-        step = core.step_packet
-        goto = self.function_for
-        exit_device = self.exit_device
-        limit_cell = self._limit
-        counts = self.tier_counts
-        promote_python = self.tier.promote_python
-        device_flags = packet_device_flags(self.program, pc0, n_packets)
-        ra = self.runahead
-
-        def cold():
-            if ra[0]:
-                # the stub steps the interpreter, which may touch the
-                # shared segment: never run it inside a run-ahead
-                # window — defer to the next normal round
-                return INTERP
-            n = counts.get(pc0, 0)
-            if n >= promote_python:
-                return self._tier_promote_python(pc0)()
-            counts[pc0] = n + 1
-            for k in range(n_packets):
-                if device_flags[k] and core.cycles >= limit_cell[0]:
-                    return INTERP  # defer to the next lockstep slice
-                step()
-                if core.halted or exit_device.exited:
-                    return None
-            # apply a branch that matured exactly at the region end
-            # (the top of the interpreter's next step would): chaining
-            # at the target keeps entries aligned with region heads
-            pb = core._pending_branch
-            if pb is not None:
-                if pb[0] <= core._issue_index:
-                    core.pc = pb[1]
-                    core._pending_branch = None
-                else:
-                    return INTERP  # immature branch: interpreter drains
-            return goto(core.pc)
-
-        cold.__name__ = f"_tier_cold_{pc0}"
-        return cold
-
-    def _tier_promote_python(self, pc0: int):
-        """Tier 1: the Python-emitted rendering, still counting.
-
-        Idempotent and cheap when already promoted — stale references
-        to the cold stub (chain cells in other regions' namespaces)
-        forward through here, so a promotion can never be undone by an
-        old callable.
-        """
-        fn = self._tier_python_fns.get(pc0)
-        if fn is not None:
-            return fn
-        python_fn = self._python_region(pc0)
-        counts = self.tier_counts
-        promote_native = self.tier.promote_native
-
-        def counting():
-            n = counts.get(pc0, 0)
-            if n >= promote_native:
-                native_fn = self._tier_promote_native(pc0)
-                if native_fn is not None:
-                    return native_fn()
-            counts[pc0] = n + 1
-            return python_fn()
-
-        counting.__name__ = f"_tier_python_{pc0}"
-        self._tier_python_fns[pc0] = counting
-        self.tier_promoted_python += 1
-        self.regions_compiled += 1
-        self._fns[pc0] = counting
-        return counting
-
-    def _tier_promote_native(self, pc0: int):
-        """Tier 2: the native superblock wrapper, if one is available.
-
-        Returns None — and the entry stays on the Python tier — when
-        the native path is disabled, no toolchain exists, the entry is
-        not in the module plan (discovered only at run time), or it was
-        demoted for persistent bailing.
-        """
-        fn = self._tier_native_fns.get(pc0)
-        if fn is None:
-            self._ensure_native()
-            if self._native is None:
-                return None
-            fn = self._native.wrapper_for(pc0)
-            if fn is None:
-                return None
-            self._tier_native_fns[pc0] = fn
-            self.tier_promoted_native += 1
-            self._fns[pc0] = fn
-        return fn
-
-    def _ensure_native(self) -> None:
-        """Attach the native module lazily (first native promotion)."""
-        if self._native_tried:
-            return
-        self._native_tried = True
-        from repro.vliw.codegen.native import NativeContext
-
-        self._native = NativeContext.attach(self)
-
-    def tier_stats(self) -> dict:
-        """Tier-ladder profile of this compiler (``backend="tiered"``).
-
-        Execution counters cover the pre-native tiers (an entry's
-        counter freezes when it promotes into the native superblock
-        module; native bail counts are tracked separately).
-        """
-        native = self._native
-        demoted = native._demoted if native is not None else ()
-        regions = {}
-        for pc0, n in sorted(self.tier_counts.items()):
-            if pc0 in self._tier_native_fns and pc0 not in demoted:
-                level = "native"
-            elif pc0 in self._tier_python_fns or pc0 in demoted:
-                level = "python"
-            else:
-                level = "interp"
-            regions[pc0] = {"executions": n, "tier": level}
-        return {
-            "regions": regions,
-            "promoted_python": self.tier_promoted_python,
-            "promoted_native": self.tier_promoted_native,
-            "demoted": native.regions_demoted if native is not None else 0,
-            "bails": dict(native._bails) if native is not None else {},
-        }
 
     def precompile(self) -> int:
         """Generate source + IR for every statically reachable region.
@@ -647,10 +482,6 @@ class PacketCompiler:
             if entry[2]:
                 pending.add(pc0 + entry[2])
         self.regions_generated += generated
-        if self.tiered:
-            # warm the native module too, so workers and repeated runs
-            # skip the C build at the first native promotion
-            self._ensure_native()
         return generated
 
     def _namespace(self) -> dict:
@@ -688,7 +519,6 @@ class PacketCompiler:
 def precompile_program(program, source_arch=None, sync_rate: float = 1.0,
                        bridge_stall: int = 4, sync_access_stall: int = 4,
                        strict: bool = True, backend: str = "compiled",
-                       tier: TierConfig | None = None,
                        inline_shared: bool = True) -> int:
     """Populate *program*'s region caches without executing it.
 
@@ -713,6 +543,6 @@ def precompile_program(program, source_arch=None, sync_rate: float = 1.0,
     platform = PrototypingPlatform(
         program, source_arch=source_arch, sync_rate=sync_rate,
         bridge_stall=bridge_stall, sync_access_stall=sync_access_stall,
-        strict=strict, backend=backend, tier=tier)
-    return PacketCompiler(platform.core, backend=backend, tier=tier,
+        strict=strict, backend=backend)
+    return PacketCompiler(platform.core, backend=backend,
                           inline_shared=inline_shared).precompile()

@@ -101,7 +101,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.arch.model import SourceArch, default_source_arch
-from repro.errors import SimulationError
+from repro.errors import BusError, SimulationError
 from repro.isa.c6x.packets import C6xProgram
 from repro.soc.bus import (
     BusAccess,
@@ -197,6 +197,9 @@ class CorePort:
     **unrelocated** (all cores see the same shared devices there) and
     are arbitrated: losing a round costs the core
     ``contention_stall`` target cycles, charged before the transfer.
+    Any other offset must fall inside the core's own partition; past
+    ``CORE_IO_STRIDE`` the port raises the single-core bus's
+    :class:`~repro.errors.BusError`.
     """
 
     def __init__(self, shared: SocBus, index: int, base: int,
@@ -207,8 +210,8 @@ class CorePort:
         self.arbiter = arbiter
         # the segment layout is deliberately NOT configurable: compiled
         # regions bake the default SharedIoMap window into their
-        # shared-segment bail guard (repro.vliw.compiled), so a port
-        # with a different map would break backend independence
+        # shared-segment bail guard (repro.vliw.codegen.lower), so a
+        # port with a different map would break backend independence
         self.shared_map = SharedIoMap()
         self.monitor = BusMonitor()
         self.core: C6xCore | None = None  # bound by the owning slot
@@ -220,6 +223,9 @@ class CorePort:
     def _global_addr(self, addr: int) -> tuple[int, bool]:
         if self.shared_map.base <= addr < self.shared_map.end:
             return addr, True
+        if addr >= CORE_IO_STRIDE:
+            # never a neighbour's device
+            raise BusError("no device mapped", addr)
         return self.base + addr, False
 
     def _arbitrate(self, global_addr: int, cycle: int) -> None:
@@ -317,7 +323,7 @@ class _CoreSlot:
                  arbiter: SharedBusArbiter,
                  sync_rate: float, bridge_stall: int,
                  sync_access_stall: int, strict: bool,
-                 tier=None, inline_shared: bool = True) -> None:
+                 inline_shared: bool = True) -> None:
         from repro.vliw.codegen import resolve_backend
 
         try:
@@ -357,7 +363,6 @@ class _CoreSlot:
             from repro.vliw.compiled import PacketCompiler
 
             self._compiler = PacketCompiler(self.core, backend=backend,
-                                            tier=tier,
                                             inline_shared=inline_shared)
         else:
             self._compiler = None
@@ -443,10 +448,7 @@ class MultiCoreSoC:
     all cores or a per-core sequence (any name registered in
     :mod:`repro.vliw.codegen`) — interpreted, packet-compiled and
     native cores mix freely, since all mutate identical core state at
-    region boundaries.  *tier* carries the
-    :class:`~repro.vliw.codegen.tiering.TierConfig` ladder thresholds
-    to every compiled slot (``None`` reads the ``REPRO_TIER_*``
-    environment).
+    region boundaries.
 
     The SoC is always shared-capable: the
     :class:`~repro.soc.bus.SharedIoMap` segment (shared scratch,
@@ -479,7 +481,6 @@ class MultiCoreSoC:
                  sync_access_stall: int = 4,
                  contention_stall: int = CONTENTION_STALL,
                  strict: bool = True,
-                 tier=None,
                  node: int = 0,
                  nodes: int = 1,
                  quantum: int | str = "adaptive") -> None:
@@ -538,8 +539,7 @@ class MultiCoreSoC:
         self.slots = [
             _CoreSlot(i, program_list[i], backend_list[i], self.bus, n,
                       self.arbiter, sync_rate, bridge_stall,
-                      sync_access_stall, strict, tier=tier,
-                      inline_shared=inline)
+                      sync_access_stall, strict, inline_shared=inline)
             for i in range(n)
         ]
         if inline:

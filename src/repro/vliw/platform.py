@@ -17,7 +17,7 @@ from repro.errors import SimulationError
 from repro.isa.c6x.packets import C6xProgram
 from repro.soc.bus import BusAccess, SocBus, standard_bus
 from repro.vliw.bridge import BusBridge
-from repro.vliw.codegen import TierConfig, backend_names, resolve_backend
+from repro.vliw.codegen import backend_names, resolve_backend
 from repro.vliw.core import C6xCore, CoreStats
 from repro.vliw.syncdev import SyncDevice, SyncStats
 
@@ -124,8 +124,7 @@ class PrototypingPlatform:
                  bridge_stall: int = 4,
                  sync_access_stall: int = 4,
                  strict: bool = True,
-                 backend: str = "interp",
-                 tier: TierConfig | None = None) -> None:
+                 backend: str = "interp") -> None:
         self._backend_spec = resolve_backend(backend)
         self.source_arch = source_arch or default_source_arch()
         self.bus = bus if bus is not None else standard_bus()
@@ -136,9 +135,6 @@ class PrototypingPlatform:
                             sync_access_stall=sync_access_stall)
         self.program = program
         self.backend = backend
-        #: tier-ladder thresholds (``backend="tiered"``; also the
-        #: native demotion threshold) — None reads ``REPRO_TIER_*``
-        self.tier = tier
         self._compiler = None
 
     def run(self, max_cycles: int = 200_000_000) -> PlatformResult:
@@ -153,8 +149,7 @@ class PrototypingPlatform:
             from repro.vliw.compiled import PacketCompiler
 
             if self._compiler is None:
-                self._compiler = PacketCompiler(core, backend=self.backend,
-                                                tier=self.tier)
+                self._compiler = PacketCompiler(core, backend=self.backend)
             self._compiler.run(max_cycles)
         else:
             while not core.halted and not exit_device.exited:

@@ -63,8 +63,8 @@ def _mixes(n: int) -> list[tuple[str, ...]]:
     ]
     if _NATIVE:
         mixes.append(("native",) * n)
-        rotation = ("tiered", "interp", "native", "compiled")
-        mixes.append(tuple(rotation[i % 4] for i in range(n)))
+        rotation = ("interp", "native", "compiled")
+        mixes.append(tuple(rotation[i % 3] for i in range(n)))
     return mixes
 
 
@@ -93,7 +93,7 @@ class TestDegenerateClusterIdentity:
         cases = [("mbox_pingpong", backends) for backends in _mixes(N_CORES)]
         cases += [("mbox_allreduce", backends)
                   for backends in _mixes(N_CORES)
-                  if not {"interp", "tiered"} & set(backends)]
+                  if "interp" not in backends]
         for name, backends in cases:
             program = translated(name, level)
             for core_quantum in ("adaptive", 1):
@@ -236,9 +236,9 @@ class TestCrossBarrierBitIdentity:
         assert parallel.observables() == serial.observables()
 
     @pytest.mark.skipif(not _NATIVE, reason="needs a C toolchain")
-    def test_native_and_tiered_workers(self, translated):
+    def test_native_and_mixed_workers(self, translated):
         program = translated("allreduce")
-        for backends in [("native", "native"), ("tiered", "native")]:
+        for backends in [("native", "native"), ("compiled", "native")]:
             serial = Cluster(program, socs=2, backends=backends,
                              barrier="lockstep").run()
             parallel = Cluster(program, socs=2, backends=backends,

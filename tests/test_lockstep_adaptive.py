@@ -246,11 +246,11 @@ class TestAdaptiveBarrierUnits:
 
 
 def _backend_list():
-    backends = ["interp", "compiled", "tiered"]
+    backends = ["interp", "compiled"]
     from repro.vliw.codegen.native import native_available
 
     if native_available():
-        backends.insert(2, "native")
+        backends.append("native")
     return backends
 
 

@@ -19,8 +19,9 @@ import os
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import BusError, SimulationError
 from repro.programs.registry import build, program_names
+from repro.soc.bus import IoMap
 from repro.translator.driver import translate
 from repro.vliw.codegen.native import native_available
 from repro.vliw.multicore import CORE_IO_STRIDE, MultiCoreSoC
@@ -149,6 +150,43 @@ class TestArbitration:
         program = translated("gcd", 1)
         multi = MultiCoreSoC(program, cores=N_CORES, backends="interp").run()
         assert len(set(multi.grants)) == 1
+
+
+class TestPartitionIsolation:
+    """A core's port reaches its own partition and the shared segment
+    only: an offset past the partition is unmapped, exactly as on the
+    single-core bus, and never lands on a neighbour's device."""
+
+    def _raised(self, access, bus):
+        with pytest.raises(BusError) as excinfo:
+            access(bus)
+        return str(excinfo.value), excinfo.value.address
+
+    def test_write_past_partition(self, translated):
+        program = translated("gcd", 0)
+        offset = CORE_IO_STRIDE + IoMap().exit  # core 1's exit device
+        soc = MultiCoreSoC(program, cores=2)
+
+        def write(bus):
+            bus.write(offset, 5, 4, 0)
+
+        single = self._raised(write, PrototypingPlatform(program).bus)
+        assert self._raised(write, soc.slots[0].port) == single
+        assert single[1] == offset
+        assert not soc.slots[1].exit_device.exited
+
+    def test_read_past_partition(self, translated):
+        program = translated("gcd", 0)
+        offset = CORE_IO_STRIDE + IoMap().coreid  # core 1's id register
+        soc = MultiCoreSoC(program, cores=2)
+
+        def read(bus):
+            bus.read(offset, 4, 0)
+
+        single = self._raised(read, PrototypingPlatform(program).bus)
+        assert self._raised(read, soc.slots[0].port) == single
+        assert single[1] == offset
+        assert soc.bus.monitor.transfers() == []
 
 
 class TestConstruction:

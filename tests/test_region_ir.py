@@ -168,12 +168,10 @@ class TestBackendRegistry:
         from repro.vliw.codegen import backend_names, resolve_backend
 
         names = backend_names()
-        assert names == ("interp", "compiled", "native", "tiered")
+        assert names == ("interp", "compiled", "native")
         assert not resolve_backend("interp").compiled
         assert resolve_backend("compiled").compiled
         assert resolve_backend("native").native
-        spec = resolve_backend("tiered")
-        assert spec.compiled and spec.tiered and not spec.native
 
     def test_unknown_backend_error_lists_registered(self):
         from repro.errors import SimulationError
@@ -183,7 +181,7 @@ class TestBackendRegistry:
             resolve_backend("jit")
         message = str(excinfo.value)
         assert "jit" in message
-        for name in ("interp", "compiled", "native", "tiered"):
+        for name in ("interp", "compiled", "native"):
             assert name in message
 
     def test_platform_rejects_unknown_backend_with_names(self):
@@ -219,5 +217,5 @@ class TestBackendRegistry:
             translate_main([str(out), "--run", "--backend", "warp"])
         err = capsys.readouterr().err
         assert "invalid choice: 'warp'" in err
-        for name in ("interp", "compiled", "native", "tiered"):
+        for name in ("interp", "compiled", "native"):
             assert name in err

@@ -18,6 +18,11 @@ import pytest
 
 from repro.eval.runner import measure_program
 from repro.eval.sharded import ShardedRunner, ShardSpec
+from repro.programs.registry import build
+from repro.translator.driver import translate
+from repro.vliw.codegen.native import native_available
+from repro.vliw.compiled import precompile_program
+from repro.vliw.platform import PrototypingPlatform
 
 MAX_JOBS = max(2, int(os.environ.get("REPRO_SMOKE_JOBS", "3")))
 PROGRAMS = ("gcd", "uart_hello", "timer_probe")
@@ -85,14 +90,28 @@ def test_measure_registry_matches_measure_program(serial):
                     == expected.levels[level].result.observables())
 
 
-def test_compiled_shards_reuse_parent_regions(serial):
-    """Workers execute regions precompiled by the parent: no worker
-    ever generates region source for itself."""
-    specs = [ShardSpec(program=name, level=2, backend="compiled")
+@pytest.mark.parametrize("backend", [
+    "compiled",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="needs a C toolchain")),
+])
+def test_compiled_shards_reuse_parent_regions(serial, backend):
+    """Workers execute regions precompiled by the parent and match the
+    same run in the parent.  A worker generates region source only for
+    entries no static walk reaches, exactly as many as that run does:
+    none under ``compiled``; under ``native``, whose parent also builds
+    the superblock module, the device packets a superblock bails at."""
+    specs = [ShardSpec(program=name, level=2, backend=backend)
              for name in PROGRAMS for _ in range(2)]
     outcomes = ShardedRunner(jobs=2).run(specs)
     for outcome in outcomes:
-        assert outcome.regions_generated == 0, outcome.spec
+        program = translate(build(outcome.spec.program), level=2).program
+        precompile_program(program, backend=backend)
+        platform = PrototypingPlatform(program, backend=backend)
+        expected = platform.run().observables()
+        assert outcome.result.observables() == expected, outcome.spec
+        assert (outcome.regions_generated
+                == platform._compiler.regions_generated), outcome.spec
         assert outcome.regions_from_cache > 0, outcome.spec
 
 
