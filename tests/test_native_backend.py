@@ -4,10 +4,11 @@ Same contract as the packet-compiled backend, one stage further: every
 observable of a ``backend="native"`` run must be bit-identical to the
 interpretive core on every registry program at every detail level —
 including the sync-device state machine mirrored in C (fractional
-rates and all), the bridge-window bail path, multi-core lockstep and
-the pickled-program worker transport.  Tests that need the C path
-skip cleanly when no toolchain is present; the fallback tests assert
-the backend still *works* (on the Python emitter) in that case.
+rates and all), the bridge-window bail path, demotion to the Python
+rendering mid-run, multi-core lockstep and the pickled-program worker
+transport.  Tests that need the C path skip cleanly when no toolchain
+is present; the fallback tests assert the backend still *works* (on
+the Python emitter) in that case.
 """
 
 import pickle
@@ -135,8 +136,12 @@ class TestNativeRuntime:
         assert context is not None
         assert context.regions_demoted >= 1
 
-    def test_pickled_program_runs_native_from_shipped_ir(self):
-        program = translate(build("gcd"), level=2).program
+    @pytest.mark.parametrize("name", program_names())
+    def test_pickled_program_runs_native_from_shipped_ir(self, name):
+        """The worker transport of sharded and cluster runs: a clone of
+        a program the parent precompiled and ran generates no region
+        source and runs the parent's module."""
+        program = translate(build(name), level=2).program
         precompile_program(program, backend="native")
         parent = _run(program, "native").observables()
         clone = pickle.loads(pickle.dumps(program))
@@ -179,6 +184,61 @@ class TestNativeRuntime:
         assert errors[0] == errors[1]
         context = platform._compiler.native_context
         assert context is not None and context.regions_native > 0
+
+
+@needs_toolchain
+class TestMidRunDemotion:
+    """Demotion swaps a member from its C rendering to its Python one
+    while the program runs, so one region entry is served by two
+    engines in a single run; no observable may show where."""
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", program_names())
+    def test_alternate_members_demoted_halfway(self, name, level):
+        """With every other member demoted halfway through, superblocks
+        exit at each chain edge into a demoted member, whose Python
+        rendering takes over, while the rest keep running in C."""
+        program = translate(build(name), level=level).program
+        interp = _run(program, "interp")
+        platform = PrototypingPlatform(program, backend="native")
+        compiler = PacketCompiler(platform.core, backend="native")
+        context = compiler.native_context
+        assert context is not None
+        compiler.run_slice(interp.target_cycles // 2)
+        assert not platform.core.halted, (name, level)
+        demoted = sorted(context.plan)[::2]
+        for pc0 in demoted:
+            context.demote(pc0)
+        compiler.run_slice(None)
+        platform.sync.flush()
+        assert (platform.collect_result().observables()
+                == interp.observables()), (name, level)
+        assert context.regions_demoted == len(demoted)
+        assert context.regions_native > 0, (name, level)
+
+    @pytest.mark.parametrize("name", program_names())
+    def test_demotion_stays_on_its_core(self, name):
+        """Cores of one SoC share the loaded module but not its demotion
+        bitmap: with every member retired on core 0, core 1 still runs
+        in C, and both match the single-core interpreter."""
+        from repro.vliw.multicore import MultiCoreSoC
+
+        program = translate(build(name), level=2).program
+        interp = _run(program, "interp").observables()
+        soc = MultiCoreSoC(program, cores=2, backends=("native", "native"))
+        retired, kept = (slot._compiler.native_context
+                         for slot in soc.slots)
+        assert retired is not None and kept is not None
+        assert retired.binding is kept.binding
+        for pc0 in retired.plan:
+            retired.demote(pc0)
+        result = soc.run()
+        for index in range(2):
+            assert result.per_core[index].observables() == interp, (
+                name, index)
+        assert retired.regions_native == 0
+        assert kept.regions_demoted == 0
+        assert kept.regions_native > 0, name
 
 
 class TestModuleSize:
