@@ -114,7 +114,7 @@ def packet_device_flags(program, pc0: int, n_packets: int) -> tuple:
     device-flagged access — the same test
     :meth:`RegionLowerer._lower_packet` uses to give a packet its
     dispatch shape.  The packet compiler's ``inline_entry_fn`` uses it
-    to recognize a device entry packet without lowering the region.
+    to test whether a region's entry packet carries a device access.
     """
     packets = program.packets
     return tuple(

@@ -341,12 +341,10 @@ class PacketCompiler:
             if cached is None:
                 cached = self._generate_entry(pc0)
                 self.regions_generated += 1
-            source, name, n_packets = cached
+            source, _name, n_packets = cached
             if (source is not None and n_packets
                     and packet_device_flags(self.program, pc0, 1)[0]):
-                ns = self._namespace()
-                exec(_host_code(source, pc0), ns)
-                fn = ns[name]
+                fn = self._python_region(pc0)
         self._inline_entry_fns[pc0] = fn
         return fn
 
@@ -424,26 +422,24 @@ class PacketCompiler:
             self.regions_generated += 1
         else:
             self.regions_from_cache += 1
-        source, name, _n_packets = cached
-        if source is None:
+        if cached[0] is None:  # an interpreter-only entry
             return INTERP
+        self.regions_compiled += 1
         if self._native is not None:
             fn = self._native.wrapper_for(pc0)
             if fn is not None:
-                self.regions_compiled += 1
                 return fn
-        ns = self._namespace()
-        exec(_host_code(source, pc0), ns)
-        self.regions_compiled += 1
-        return ns[name]
+        return self._python_region(pc0)
 
     def _python_region(self, pc0: int):
         """The Python-emitted callable for region *pc0*, uncached.
 
-        Used by the native runtime to demote a region whose packets
-        keep bailing to the interpreter (bus-bridge traffic): the
-        Python rendering dispatches device accesses inline instead of
-        re-executing packets on the core, so it is the faster engine
+        The ``compiled`` backend builds every region with it, and the
+        ``native`` backend each region its C module does not cover.
+        The native runtime also uses it to demote a region whose
+        packets keep bailing to the interpreter (bus-bridge traffic):
+        the Python rendering dispatches device accesses inline instead
+        of re-executing packets on the core, so it is the faster engine
         for exactly those regions.  Both renderings mutate identical
         state, so swapping at a region boundary is always safe.
         """
