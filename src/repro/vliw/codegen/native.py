@@ -13,11 +13,20 @@ that source into running code:
 * **Disk cache** — shared objects are content-addressed by the SHA-256
   of the generated C (which is itself a deterministic function of the
   Region IR set) plus the ABI revision, under ``$REPRO_NATIVE_CACHE``
-  or ``~/.cache/repro-cabt/native``.  A second process — or a sharded
-  evaluation worker — finds the parent's build and only ``dlopen``\\ s;
-  a worker on a cold cache re-emits from the IR shipped with the
-  pickled program and rebuilds.  Writes are atomic (temp + rename), so
-  concurrent builders race harmlessly.
+  or ``~/.cache/repro-cabt/native``.  Beside them, one small JSON
+  *record* per :func:`program_key` — a digest of everything the module
+  depends on, computed before anything is lowered — names the module's
+  digest and its :class:`~repro.vliw.codegen.trace.ModulePlan`.  A
+  warm attach reads the record and ``dlopen``\\ s the named ``.so``
+  without lowering a region or emitting C; regions are then lowered
+  and rendered to Python only when a run needs that rendering (device
+  hand-offs, demoted members, entries outside the module).  A record
+  that does not parse or names a missing ``.so`` is a miss: the module
+  is emitted from the static walk's regions, built if needed, and the
+  record rewritten.  A sharded evaluation worker finds the parent's
+  plan on the pickled program and only ``dlopen``\\ s; on a cold cache
+  it re-lowers the static walk and rebuilds.  Writes are atomic (temp
+  + rename), so concurrent builders race harmlessly.
 * **Bindings** — cffi in ABI mode when importable (faster calls),
   ctypes otherwise.  Both operate **in place** on the core's register
   file (an ``array('I')`` by construction) and data memory, so both
@@ -42,11 +51,15 @@ that source into running code:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import os
+import pickle
 import shutil
 import subprocess
 import tempfile
+from pathlib import Path
 
 from repro.errors import BusError, SimulationError
 from repro.vliw.codegen.emit_c import (
@@ -67,6 +80,7 @@ from repro.vliw.codegen.emit_c import (
     RIO_STRUCT,
 )
 from repro.vliw.codegen.ir import RegionIR
+from repro.vliw.codegen.trace import ModulePlan, SuperblockPlan
 
 #: bails after which a native member demotes to its Python rendering
 #: (read at every bail, so tests can patch it)
@@ -83,6 +97,13 @@ _TOOLCHAIN: list = []
 
 #: per-process loaded modules, keyed by content digest
 _LOADED: dict[str, object] = {}
+
+#: per-process stamp of the ``repro`` sources: unset / hex digest
+_STAMP: list = []
+
+#: pickle protocol of the program part of :func:`program_key`; fixed so
+#: the key does not move with the interpreter's default
+_KEY_PROTOCOL = 4
 
 
 def native_disabled() -> bool:
@@ -156,6 +177,108 @@ def source_digest(c_source: str) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def source_stamp() -> str:
+    """SHA-256 over every ``.py`` file of the imported ``repro``
+    package, by sorted relative path (memoized per process).
+
+    Part of :func:`program_key`: a module built by other translator or
+    codegen sources must never be looked up for this one.  Every file
+    counts, because any narrower list goes stale without warning.
+    """
+    if not _STAMP:
+        import repro
+
+        root = Path(repro.__file__).resolve().parent
+        digest = hashlib.sha256()
+        for rel in sorted(path.relative_to(root).as_posix()
+                          for path in root.rglob("*.py")):
+            data = (root / rel).read_bytes()
+            digest.update(f"{rel}\0{len(data)}\0".encode())
+            digest.update(data)
+        _STAMP.append(digest.hexdigest())
+    return _STAMP[0]
+
+
+def program_key(compiler) -> str:
+    """Address of the record of *compiler*'s native module.
+
+    Everything the module's C depends on, without lowering a region:
+    the ABI revision, :func:`source_stamp`, the translated program (its
+    dataclass fields, pickled with a fixed protocol — region caches and
+    plans hung on the object are not fields), the lowering parameters,
+    the cache parameters (both stalls and the bail-emitter flag) and
+    the region-length cap.
+    """
+    program = compiler.program
+    fields = tuple(getattr(program, field.name)
+                   for field in dataclasses.fields(program))
+    digest = hashlib.sha256(
+        f"abi{ABI_VERSION}\n{source_stamp()}\n{compiler.params!r}\n"
+        f"{compiler.cache_params!r}\n{compiler.max_region_packets}\n"
+        .encode())
+    digest.update(pickle.dumps(fields, protocol=_KEY_PROTOCOL))
+    return digest.hexdigest()
+
+
+def _so_path(digest: str) -> str:
+    return os.path.join(cache_dir(), f"{digest}.so")
+
+
+def _record_path(key: str) -> str:
+    return os.path.join(cache_dir(), f"{key}.json")
+
+
+def read_record(key: str) -> tuple[str, ModulePlan] | None:
+    """``(digest, plan)`` recorded under *key*, or None (a miss).
+
+    A record that cannot be read, does not parse, has the wrong shape
+    or names a ``.so`` missing from the cache directory is a miss.
+    """
+    try:
+        with open(_record_path(key)) as handle:
+            record = json.load(handle)
+        digest = record["digest"]
+        superblocks = tuple(
+            SuperblockPlan(symbol=symbol, members=tuple(members))
+            for symbol, members in record["superblocks"])
+        block_sites = tuple(record["block_sites"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if not (isinstance(digest, str) and len(digest) == 64
+            and all(isinstance(sb.symbol, str)
+                    and all(type(pc0) is int for pc0 in sb.members)
+                    for sb in superblocks)
+            and all(type(site) is int for site in block_sites)):
+        return None
+    if not os.path.exists(_so_path(digest)):
+        return None
+    return digest, ModulePlan(superblocks, block_sites)
+
+
+def write_record(key: str, digest: str, plan: ModulePlan) -> None:
+    """Record *digest* and *plan* under *key* (atomic; best effort —
+    an unwritable cache directory only costs the next attach a miss)."""
+    record = {"digest": digest,
+              "superblocks": [[sb.symbol, list(sb.members)]
+                              for sb in plan.superblocks],
+              "block_sites": list(plan.block_sites)}
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".json")
+        with os.fdopen(fd, "w") as handle:
+            json.dump(record, handle)
+        os.replace(tmp, _record_path(key))
+        tmp = None
+    except OSError:
+        pass
+    finally:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
 def build_shared(c_source: str, digest: str | None = None) -> str | None:
     """Compile *c_source* into the disk cache; returns the .so path.
 
@@ -166,7 +289,7 @@ def build_shared(c_source: str, digest: str | None = None) -> str | None:
     """
     digest = digest or source_digest(c_source)
     directory = cache_dir()
-    so_path = os.path.join(directory, f"{digest}.so")
+    so_path = _so_path(digest)
     if os.path.exists(so_path):
         return so_path
     cc = toolchain()
@@ -394,7 +517,13 @@ class NativeContext:
 
     @classmethod
     def attach(cls, compiler) -> "NativeContext | None":
-        """Build or load the native module for *compiler*'s program.
+        """Find, load or build the native module for *compiler*'s program.
+
+        The plan comes from the program object (an earlier attach, or
+        a parent process that pickled it), else from the disk record
+        under :func:`program_key`; neither lowers a region.  Only on a
+        miss is the module emitted from the static walk's regions — and
+        the record written once the module loads.
 
         Returns None — native off, Python emitter everywhere — when the
         native path is disabled, no region compiled, or neither a
@@ -408,31 +537,31 @@ class NativeContext:
             plans = {}
             program._native_plans = plans
         plan_entry = plans.get(compiler.cache_params)
-        landing = tuple(sorted(program.addr_to_packet.values()))
-        source = None
+        key = source = None
+        if plan_entry is None:
+            key = program_key(compiler)
+            plan_entry = read_record(key)
         if plan_entry is None:
             # emitting the module is pure Python: do it even without a
             # toolchain, because a warm disk cache can serve the .so
             # compiler-free (build_shared only compiles on a miss)
-            source, plan = CEmitter().emit_module(
-                cls._module_irs(compiler), landing)
+            source, plan = cls._emit(compiler)
             digest = source_digest(source)
-            plans[compiler.cache_params] = (digest, plan)
         else:
             digest, plan = plan_entry
+        plans[compiler.cache_params] = (digest, plan)
         if not plan:
             return None
         binding = _LOADED.get(digest)
         if binding is None:
-            so_path = os.path.join(cache_dir(), f"{digest}.so")
+            so_path = _so_path(digest)
             if not os.path.exists(so_path):
                 if toolchain() is None:
                     return None
                 if source is None:
                     # cold cache (e.g. a worker on a fresh cache dir):
-                    # rebuild from the IR shipped with the program
-                    source, plan = CEmitter().emit_module(
-                        cls._module_irs(compiler), landing)
+                    # re-lower the static walk and rebuild
+                    source, plan = cls._emit(compiler)
                     if source_digest(source) != digest:
                         return None  # pragma: no cover - caches in sync
                 so_path = build_shared(source, digest)
@@ -440,12 +569,27 @@ class NativeContext:
                     return None
             binding = _load_binding(so_path, plan.symbols())
             _LOADED[digest] = binding
+        if key is not None and source is not None:
+            write_record(key, digest, plan)
         return cls(compiler, binding, plan)
+
+    @classmethod
+    def _emit(cls, compiler) -> tuple[str, ModulePlan]:
+        landing = tuple(sorted(compiler.program.addr_to_packet.values()))
+        return CEmitter().emit_module(cls._module_irs(compiler), landing)
 
     @staticmethod
     def _module_irs(compiler) -> list[RegionIR]:
+        """Region IR of the static walk's regions, ascending by entry.
+
+        Only those: regions other compilers generated at run time on
+        the same program object would otherwise make the module (and
+        its digest) depend on what ran before the attach.
+        """
         compiler.precompile()
-        return [ir for ir in compiler._ir_cache.values() if ir is not None]
+        irs = compiler._ir_cache
+        return [irs[pc0] for pc0 in compiler.static_regions()
+                if irs[pc0] is not None]
 
     def __init__(self, compiler, binding, plan) -> None:
         self.compiler = compiler

@@ -16,11 +16,14 @@ pluggable :class:`~repro.vliw.codegen.RegionEmitter`:
   statically, counters and sync-device ticks batched per region,
   device packets keeping the interpreter's exact dispatch and stall
   interleaving;
-* the ``native`` backend additionally compiles *pure* (device-free)
-  regions to C99 at run time (:mod:`repro.vliw.codegen.emit_c`,
+* the ``native`` backend additionally compiles the statically
+  reachable regions to C99 superblocks (:mod:`repro.vliw.codegen.emit_c`,
   :mod:`repro.vliw.codegen.native`), falling back to the Python
-  emitter per region for device packets, for entries discovered only
-  at run time, and entirely when no C toolchain is available.
+  emitter per region for device hand-offs, demoted members and entries
+  discovered only at run time, and entirely when no C toolchain is
+  available.  A module already on disk is found by a key over the
+  program itself, so a warm native compiler lowers and renders only
+  the regions its run needs in Python.
 
 Compiled functions form a *block-function cache* keyed by entry packet
 index, with direct chaining: each function returns the next block's
@@ -59,10 +62,12 @@ dataclasses pickle while code objects and shared-library handles do
 not: a translated program can be pickled and shipped to a worker
 process (see :mod:`repro.eval.sharded`) with its region caches
 attached, so workers ``compile()``/``exec`` the parent's Python
-regions and re-bind (or, cache-cold, rebuild from the shipped IR) the
-parent's native module instead of re-scanning and re-generating.  The
-host ``compile()`` step itself is memoized per process, keyed by the
-source text.
+regions and re-bind the parent's native module (through the module
+plan the program carries; cache-cold, they re-lower the static walk
+and rebuild it) instead of re-scanning and re-generating.  A native
+precompile ships that plan and the renderings of the regions outside
+the module, not a rendering of every member.  The host ``compile()``
+step itself is memoized per process, keyed by the source text.
 """
 
 from __future__ import annotations
@@ -337,11 +342,7 @@ class PacketCompiler:
             return self._inline_entry_fns[pc0]
         fn = None
         if self.inline_shared:
-            cached = self._code_cache.get(pc0)
-            if cached is None:
-                cached = self._generate_entry(pc0)
-                self.regions_generated += 1
-            source, _name, n_packets = cached
+            source, _name, n_packets = self._entry(pc0)
             if (source is not None and n_packets
                     and packet_device_flags(self.program, pc0, 1)[0]):
                 fn = self._python_region(pc0)
@@ -415,20 +416,27 @@ class PacketCompiler:
         self._code_cache[pc0] = entry
         return entry
 
-    def _compile_region(self, pc0: int):
+    def _entry(self, pc0: int) -> tuple:
+        """The code-cache entry of region *pc0*, generated on a miss."""
         cached = self._code_cache.get(pc0)
         if cached is None:
             cached = self._generate_entry(pc0)
             self.regions_generated += 1
-        else:
-            self.regions_from_cache += 1
-        if cached[0] is None:  # an interpreter-only entry
-            return INTERP
-        self.regions_compiled += 1
+        return cached
+
+    def _compile_region(self, pc0: int):
         if self._native is not None:
             fn = self._native.wrapper_for(pc0)
             if fn is not None:
+                # the loaded module serves it: no source needed
+                self.regions_compiled += 1
+                self.regions_from_cache += 1
                 return fn
+        if pc0 in self._code_cache:
+            self.regions_from_cache += 1
+        if self._entry(pc0)[0] is None:  # an interpreter-only entry
+            return INTERP
+        self.regions_compiled += 1
         return self._python_region(pc0)
 
     def _python_region(self, pc0: int):
@@ -441,23 +449,23 @@ class PacketCompiler:
         the Python rendering dispatches device accesses inline instead
         of re-executing packets on the core, so it is the faster engine
         for exactly those regions.  Both renderings mutate identical
-        state, so swapping at a region boundary is always safe.
+        state, so swapping at a region boundary is always safe.  A
+        region without a rendering yet (a native module member) is
+        lowered and rendered here.
         """
-        source, name, _n_packets = self._code_cache[pc0]
+        source, name, _n_packets = self._entry(pc0)
         ns = self._namespace()
         exec(_host_code(source, pc0), ns)
         return ns[name]
 
-    def precompile(self) -> int:
-        """Generate source + IR for every statically reachable region.
+    def static_regions(self) -> list[int]:
+        """Entry pcs of every statically reachable region, ascending.
 
         Walks the program from its entry, every label (static branch
         targets) and every indirect-branch landing site
-        (``addr_to_packet``), following region fall-throughs, and fills
-        the program-level caches without executing anything.  Returns
-        the number of regions generated.  A parent process calls this
-        once per translation so that pickled copies of the program
-        carry ready-made region source and IR to worker processes.
+        (``addr_to_packet``), following region fall-throughs.  Region
+        lengths come from the code cache or a packet scan: nothing is
+        lowered.
         """
         program = self.program
         n = len(program.packets)
@@ -465,18 +473,36 @@ class PacketCompiler:
         pending.update(program.labels.values())
         pending.update(program.addr_to_packet.values())
         seen: set[int] = set()
-        generated = 0
         while pending:
             pc0 = pending.pop()
             if pc0 in seen or not 0 <= pc0 < n:
                 continue
             seen.add(pc0)
             entry = self._code_cache.get(pc0)
-            if entry is None:
-                entry = self._generate_entry(pc0)
+            n_packets = entry[2] if entry is not None else self._scan(pc0)[0]
+            if n_packets:
+                pending.add(pc0 + n_packets)
+        return sorted(seen)
+
+    def precompile(self) -> int:
+        """Generate source + IR for the statically reachable regions.
+
+        Fills the program-level caches for every region of
+        :meth:`static_regions` without executing anything — except, on
+        a compiler with a live native module, the module's members:
+        the module runs those, and a run that needs one's Python
+        rendering (demotion, device hand-off) generates it then.
+        Returns the number of regions generated.  A parent process
+        calls this once per translation so that pickled copies of the
+        program carry ready-made region source and IR (and, on native,
+        the module plan) to worker processes.
+        """
+        plan = self._native.plan if self._native is not None else ()
+        generated = 0
+        for pc0 in self.static_regions():
+            if pc0 not in self._code_cache and pc0 not in plan:
+                self._generate_entry(pc0)
                 generated += 1
-            if entry[2]:
-                pending.add(pc0 + entry[2])
         self.regions_generated += generated
         return generated
 
@@ -524,10 +550,14 @@ def precompile_program(program, source_arch=None, sync_rate: float = 1.0,
     pickling the program ships the generated source and IR along with
     it, and any :class:`PacketCompiler` with the same stall parameters
     — in this process or a worker — executes straight from the cache.
-    ``backend="native"`` additionally emits, compiles and disk-caches
-    the program's native module, so workers (sharing the cache
-    directory) only ``dlopen`` it.  Returns the number of regions
-    generated.
+    ``backend="native"`` instead finds the program's native module
+    through its disk record (emitting, compiling and recording it on a
+    miss) and ships the module plan plus the renderings of the regions
+    outside the module; workers (sharing the cache directory) only
+    ``dlopen`` the module, and generate just the Python renderings
+    their run needs (device hand-offs, demoted members).  On a record
+    miss the full walk's renderings ride along as well.  Returns the
+    number of regions generated.
 
     *inline_shared* must match the emitter mode of the compilers that
     will consume the cache (the code caches are keyed by it): True for

@@ -198,8 +198,9 @@ class CorePort:
     are arbitrated: losing a round costs the core
     ``contention_stall`` target cycles, charged before the transfer.
     Any other offset must fall inside the core's own partition; past
-    ``CORE_IO_STRIDE`` the port raises the single-core bus's
-    :class:`~repro.errors.BusError`.
+    ``CORE_IO_STRIDE``, or on an unmapped offset inside it, the port
+    raises the single-core bus's :class:`~repro.errors.BusError`, with
+    the core-local address.
     """
 
     def __init__(self, shared: SocBus, index: int, base: int,
@@ -244,11 +245,26 @@ class CorePort:
         self.monitor.record(BusAccess(
             cycle, "c", global_addr, self.index, stall))
 
+    @staticmethod
+    def _local_error(exc: BusError, addr: int, global_addr: int) -> BusError:
+        """The error the single-core bus raises for local *addr*.
+
+        Only the shared bus's "no device mapped" carries the relocated
+        bus address (device errors carry device-relative offsets), so
+        that one is re-raised with the core-local address.
+        """
+        if global_addr != addr and exc.address == global_addr:
+            return BusError("no device mapped", addr)
+        return exc
+
     def read(self, addr: int, size: int, cycle: int) -> int:
         global_addr, is_shared = self._global_addr(addr)
         if is_shared:
             self._arbitrate(global_addr, cycle)
-        value = self.shared.read(global_addr, size, cycle)
+        try:
+            value = self.shared.read(global_addr, size, cycle)
+        except BusError as exc:
+            raise self._local_error(exc, addr, global_addr) from None
         self.monitor.record(BusAccess(cycle, "r", addr, value, size))
         return value
 
@@ -256,7 +272,10 @@ class CorePort:
         global_addr, is_shared = self._global_addr(addr)
         if is_shared:
             self._arbitrate(global_addr, cycle)
-        self.shared.write(global_addr, value, size, cycle)
+        try:
+            self.shared.write(global_addr, value, size, cycle)
+        except BusError as exc:
+            raise self._local_error(exc, addr, global_addr) from None
         self.monitor.record(BusAccess(cycle, "w", addr, value, size))
 
     def device(self, name: str):

@@ -188,6 +188,29 @@ class TestPartitionIsolation:
         assert single[1] == offset
         assert soc.bus.monitor.transfers() == []
 
+    #: inside the partition, past the standard peripherals: unmapped
+    UNMAPPED = 0x90
+
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    def test_unmapped_offset_reports_local_address(self, translated, kind):
+        """An unmapped offset inside core 1's partition reports the
+        core-local address, like core 0 and the single-core bus, not
+        the relocated address on the shared bus."""
+        program = translated("gcd", 0)
+        soc = MultiCoreSoC(program, cores=2)
+
+        def access(bus):
+            if kind == "read":
+                bus.read(self.UNMAPPED, 4, 0)
+            else:
+                bus.write(self.UNMAPPED, 5, 4, 0)
+
+        single = self._raised(access, PrototypingPlatform(program).bus)
+        assert single[1] == self.UNMAPPED
+        for slot in soc.slots:
+            assert self._raised(access, slot.port) == single, slot.index
+        assert soc.bus.monitor.transfers() == []
+
 
 class TestConstruction:
     def test_replication_needs_core_count(self, translated):

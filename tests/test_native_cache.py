@@ -7,9 +7,17 @@ the digest (an old binary can never be dlopen'd against a new struct
 layout), the cache directory override is honored end to end, and a
 source change — different program, level or core parameters — lands in
 a different file instead of silently reusing a stale build.
+
+Beside the modules, one JSON record per program key names the module
+a program needs, so a warm attach lowers nothing.  The key must move
+with every input of the module and with nothing else (not the string
+hash salt), and a bad record, a missing module or an uncreatable
+cache directory must cost a miss, never an error.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +180,195 @@ class TestDiskCache:
         compiler = PacketCompiler(platform.core, backend="native")
         assert compiler.native_context is None
         assert NativeContext.attach(compiler) is None
+
+
+def _counting(monkeypatch):
+    """Count ``lower_region`` and ``CEmitter.emit_module`` calls."""
+    from repro.vliw import compiled as compiled_mod
+    from repro.vliw.codegen.emit_c import CEmitter
+
+    calls = {"lower": 0, "emit_module": 0}
+    lower = compiled_mod.lower_region
+    emit_module = CEmitter.emit_module
+
+    def counted_lower(*args, **kwargs):
+        calls["lower"] += 1
+        return lower(*args, **kwargs)
+
+    def counted_emit(self, *args, **kwargs):
+        calls["emit_module"] += 1
+        return emit_module(self, *args, **kwargs)
+
+    monkeypatch.setattr(compiled_mod, "lower_region", counted_lower)
+    monkeypatch.setattr(CEmitter, "emit_module", counted_emit)
+    return calls
+
+
+def _record_of(cache, compiler):
+    """Path of the record *compiler*'s attach wrote."""
+    return cache / f"{native_mod.program_key(compiler)}.json"
+
+
+def _prime(name="gcd", level=2, **kwargs):
+    """Attach once (a miss that builds and records the module); then
+    forget the loaded module so the next attach reads the disk."""
+    program = translate(build(name), level=level).program
+    _platform, compiler = _attach(program, **kwargs)
+    assert compiler.native_context is not None
+    native_mod._LOADED.clear()
+    return program, compiler
+
+
+def _interp(program):
+    return PrototypingPlatform(program, backend="interp").run().observables()
+
+
+@needs_toolchain
+class TestRecordHit:
+    """A record names the module by the program, so a warm attach
+    loads it without lowering a region or emitting C."""
+
+    def test_hit_lowers_and_emits_nothing(self, fresh_cache, monkeypatch):
+        _prime()
+        calls = _counting(monkeypatch)
+        program = translate(build("gcd"), level=2).program
+        platform, compiler = _attach(program)
+        assert compiler.native_context is not None
+        assert calls == {"lower": 0, "emit_module": 0}
+        result = platform.run()
+        assert result.observables() == _interp(program)
+        assert calls["emit_module"] == 0
+        assert platform._compiler.native_context.regions_native > 0
+
+    def test_hit_then_demotion_matches_interp(self, fresh_cache,
+                                              monkeypatch):
+        """Demotion needs the member's Python rendering, which a hit
+        never generated: it is lowered and rendered on demand."""
+        _prime("uart_hello", level=1)
+        calls = _counting(monkeypatch)
+        monkeypatch.setattr(native_mod, "BAIL_SWITCH", 2)
+        program = translate(build("uart_hello"), level=1).program
+        platform = PrototypingPlatform(program, backend="native")
+        result = platform.run()
+        context = platform._compiler.native_context
+        assert context is not None and context.regions_demoted >= 1
+        assert calls["emit_module"] == 0
+        assert result.observables() == _interp(program)
+
+    def test_module_does_not_depend_on_prior_runs(self, fresh_cache,
+                                                  monkeypatch):
+        """Regions a compiled run generated on the same program object
+        stay out of the module: both orders give one digest and plan."""
+        from repro.vliw.multicore import MultiCoreSoC
+
+        monkeypatch.setattr(native_mod, "_TOOLCHAIN", [None])
+        plans = []
+        for run_compiled_first in (False, True):
+            program = translate(build("mbox_pingpong"), level=2).program
+            if run_compiled_first:
+                MultiCoreSoC(program, cores=2, backends="compiled").run()
+            _platform, compiler = _attach(program)
+            digest, plan = program._native_plans[compiler.cache_params]
+            plans.append((digest, plan.superblocks, plan.block_sites))
+        assert plans[0] == plans[1]
+
+
+class TestProgramKey:
+    def _key(self, name="gcd", level=2, inline_shared=True, **kwargs):
+        program = translate(build(name), level=level).program
+        platform = PrototypingPlatform(program, backend="compiled",
+                                       **kwargs)
+        compiler = PacketCompiler(platform.core, backend="compiled",
+                                  inline_shared=inline_shared)
+        return native_mod.program_key(compiler)
+
+    def test_every_input_moves_the_key(self, monkeypatch):
+        base = self._key()
+        assert self._key() == base
+        keys = {
+            "bridge_stall": self._key(bridge_stall=5),
+            "sync_access_stall": self._key(sync_access_stall=5),
+            "inline_shared": self._key(inline_shared=False),
+            "level": self._key(level=3),
+        }
+        monkeypatch.setattr(native_mod, "ABI_VERSION",
+                            native_mod.ABI_VERSION + 1)
+        keys["abi"] = self._key()
+        monkeypatch.undo()
+        monkeypatch.setattr(native_mod, "_STAMP", ["another source tree"])
+        keys["source_stamp"] = self._key()
+        assert len({base, *keys.values()}) == len(keys) + 1, keys
+
+    def test_key_ignores_hash_seed(self):
+        """Two fresh interpreters with different string-hash salts
+        compute the same key (set and dict orders must not leak in)."""
+        script = (
+            "from repro.programs.registry import build\n"
+            "from repro.translator.driver import translate\n"
+            "from repro.vliw.codegen.native import program_key\n"
+            "from repro.vliw.compiled import PacketCompiler\n"
+            "from repro.vliw.platform import PrototypingPlatform\n"
+            "for name in ('mbox_pingpong', 'crc32'):\n"
+            "    program = translate(build(name), level=2).program\n"
+            "    core = PrototypingPlatform(program).core\n"
+            "    print(program_key(PacketCompiler(core)))\n")
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            result = subprocess.run([sys.executable, "-c", script],
+                                    env=env, capture_output=True, text=True,
+                                    timeout=300, check=True)
+            outputs.append(result.stdout.split())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 2
+
+
+@needs_toolchain
+class TestCacheDirectoryRobustness:
+    """The cache directory is an input surface: whatever is (or is not)
+    in it, a run raises nothing and ends with the interpreter's
+    observables, and a bad record is replaced once the cache is
+    writable."""
+
+    @pytest.mark.parametrize("content", ["truncated", "not json"])
+    def test_unreadable_record_is_a_miss(self, fresh_cache, content):
+        primed, compiler = _prime()
+        record = _record_of(fresh_cache, compiler)
+        good = record.read_text()
+        record.write_text(good[:len(good) // 2] if content == "truncated"
+                          else "not json")
+        program = translate(build("gcd"), level=2).program
+        platform = PrototypingPlatform(program, backend="native")
+        assert platform.run().observables() == _interp(program)
+        assert platform._compiler.native_context is not None
+        assert record.read_text() == good
+
+    def test_record_naming_a_missing_module_is_a_miss(self, fresh_cache):
+        primed, compiler = _prime()
+        record = _record_of(fresh_cache, compiler)
+        digest, _plan = primed._native_plans[compiler.cache_params]
+        (fresh_cache / f"{digest}.so").unlink()
+        program = translate(build("gcd"), level=2).program
+        platform = PrototypingPlatform(program, backend="native")
+        assert platform.run().observables() == _interp(program)
+        assert platform._compiler.native_context is not None
+        assert (fresh_cache / f"{digest}.so").exists()
+        assert native_mod.read_record(
+            native_mod.program_key(compiler)) is not None
+        assert record.exists()
+
+    def test_cache_below_a_regular_file(self, tmp_path, monkeypatch):
+        """A cache path that cannot be created (running as root, mode
+        bits would not stop a write): the Python emitter runs it."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(blocker / "cache"))
+        monkeypatch.setattr(native_mod, "_LOADED", {})
+        program = translate(build("gcd"), level=2).program
+        platform = PrototypingPlatform(program, backend="native")
+        assert platform.run().observables() == _interp(program)
+        assert platform._compiler.native_context is None
+        assert blocker.read_text() == ""

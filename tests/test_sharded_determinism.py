@@ -93,18 +93,23 @@ def test_measure_registry_matches_measure_program(serial):
 
 def _native_run_after_precompile(name):
     """Observables and generated-region count of an in-process native
-    run of *name* at level 2 on a precompiled program.  Every region
-    the run generates must be a device entry packet: a missed static
-    entry fails here rather than in both runs alike."""
+    run of *name* at level 2 on a precompiled program.  The precompile
+    ships the module plan, so the run generates only Python renderings
+    it needs: device entry packets a superblock hands off to, and
+    demoted members.  A missed static entry fails here rather than in
+    both runs alike."""
     program = translate(build(name), level=2).program
     precompile_program(program, backend="native")
     walked = {pc0 for cache in program._region_code_cache.values()
               for pc0 in cache}
     platform = PrototypingPlatform(program, backend="native")
     result = platform.run()
-    for pc0 in set(platform._compiler._code_cache) - walked:
-        assert packet_device_flags(program, pc0, 1)[0], (name, pc0)
-    return result.observables(), platform._compiler.regions_generated
+    compiler = platform._compiler
+    demoted = compiler.native_context._demoted
+    for pc0 in set(compiler._code_cache) - walked:
+        assert (packet_device_flags(program, pc0, 1)[0]
+                or pc0 in demoted), (name, pc0)
+    return result.observables(), compiler.regions_generated
 
 
 @pytest.mark.parametrize("backend", [
@@ -115,10 +120,10 @@ def _native_run_after_precompile(name):
 def test_compiled_shards_reuse_parent_regions(serial, backend):
     """Workers execute regions precompiled by the parent: under
     ``compiled`` no worker ever generates region source for itself.
-    Under ``native``, whose parent also builds the superblock module, a
-    worker generates only the device entry packets a superblock bails
-    at, exactly as many as the same run in the parent, and matches that
-    run's observables."""
+    Under ``native``, whose parent ships the superblock module's plan,
+    a worker generates only device hand-offs and demoted members,
+    exactly as many as the same run in process, and matches that run's
+    observables."""
     specs = [ShardSpec(program=name, level=2, backend=backend)
              for name in PROGRAMS for _ in range(2)]
     outcomes = ShardedRunner(jobs=2).run(specs)
