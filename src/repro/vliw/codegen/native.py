@@ -101,6 +101,9 @@ _LOADED: dict[str, object] = {}
 #: per-process stamp of the ``repro`` sources: unset / hex digest
 _STAMP: list = []
 
+#: the characters of a module digest (a record names a file by it)
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
 #: pickle protocol of the program part of :func:`program_key`; fixed so
 #: the key does not move with the interpreter's default
 _KEY_PROTOCOL = 4
@@ -245,6 +248,7 @@ def read_record(key: str) -> tuple[str, ModulePlan] | None:
     except (OSError, ValueError, KeyError, TypeError):
         return None
     if not (isinstance(digest, str) and len(digest) == 64
+            and set(digest) <= _HEX_DIGITS
             and all(isinstance(sb.symbol, str)
                     and all(type(pc0) is int for pc0 in sb.members)
                     for sb in superblocks)

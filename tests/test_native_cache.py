@@ -15,6 +15,7 @@ hash salt), and a bad record, a missing module or an uncreatable
 cache directory must cost a miss, never an error.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -333,13 +334,22 @@ class TestCacheDirectoryRobustness:
     observables, and a bad record is replaced once the cache is
     writable."""
 
-    @pytest.mark.parametrize("content", ["truncated", "not json"])
+    @pytest.mark.parametrize("content", ["truncated", "not json",
+                                         "path digest"])
     def test_unreadable_record_is_a_miss(self, fresh_cache, content):
         primed, compiler = _prime()
         record = _record_of(fresh_cache, compiler)
         good = record.read_text()
-        record.write_text(good[:len(good) // 2] if content == "truncated"
-                          else "not json")
+        digest = json.loads(good)["digest"]
+        # 64 characters naming a real module, but a path, not a digest
+        path = "sub/" + "./" * 29 + "ab"
+        (fresh_cache / "sub").mkdir()
+        (fresh_cache / "sub" / "ab.so").write_bytes(
+            (fresh_cache / f"{digest}.so").read_bytes())
+        bad = {"truncated": good[:len(good) // 2],
+               "not json": "not json",
+               "path digest": good.replace(digest, path)}
+        record.write_text(bad[content])
         program = translate(build("gcd"), level=2).program
         platform = PrototypingPlatform(program, backend="native")
         assert platform.run().observables() == _interp(program)
