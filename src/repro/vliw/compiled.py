@@ -178,8 +178,9 @@ class PacketCompiler:
         self._inline_entry_fns: dict[int, Callable | None] = {}
         self.regions_compiled = 0
         #: regions whose source this compiler had to generate (cache
-        #: misses) vs. regions whose source was already in the
-        #: program-level cache — e.g. shipped from a parent process
+        #: misses) vs. regions served without generating anything: the
+        #: source was already in the program-level cache (e.g. shipped
+        #: from a parent process) or the loaded native module runs them
         self.regions_generated = 0
         self.regions_from_cache = 0
         # Program-level caches of generated region source and IR,

@@ -124,6 +124,13 @@ def test_compiled_shards_reuse_parent_regions(serial, backend):
     a worker generates only device hand-offs and demoted members,
     exactly as many as the same run in process, and matches that run's
     observables."""
+    if backend == "native":
+        # write each program's record first, so the runner's precompile
+        # and the in-process run both find the module by program key: a
+        # record miss would also render every module member to Python
+        for name in PROGRAMS:
+            precompile_program(translate(build(name), level=2).program,
+                               backend="native")
     specs = [ShardSpec(program=name, level=2, backend=backend)
              for name in PROGRAMS for _ in range(2)]
     outcomes = ShardedRunner(jobs=2).run(specs)
